@@ -16,6 +16,7 @@ faraway choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Mapping
 
@@ -55,13 +56,21 @@ class FormulaCatalog:
         return Entails(SettingAtom(left_setting), self.right_region_statement)
 
 
+@cache
 def catalog() -> FormulaCatalog:
+    """The catalogued statements, parsed on the first call and shared by
+    every later one; formulas are frozen, so sharing them is safe."""
     return FormulaCatalog(
         stmt1=parse(STMT1_TEXT),
         stmt2=parse(STMT2_TEXT),
         stmt3=parse(STMT3_TEXT),
         right_region_statement=parse(SR_TEXT),
     )
+
+
+@cache
+def _divergence_formula() -> Formula:
+    return parse(DIVERGENCE_TEXT)
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,7 @@ def frame_comparison(
     divergence: DivergenceExample | None = None
     pivot = model_l.find(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
     if pivot is not None:
-        formula = parse(DIVERGENCE_TEXT)
+        formula = _divergence_formula()
         divergence = DivergenceExample(
             formula=formula,
             world=pivot,

@@ -490,7 +490,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     config = _run_config(args)
+    expectations: dict[str, bool] = {}
     try:
+        if config.expect_path is not None:
+            expectations = read_expectations(config.expect_path)
         payload, text, checks = _HANDLERS[args.command](args, config)
     except FormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -505,14 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
-    exit_code = 0
-    if config.expect_path is not None:
-        try:
-            expectations = read_expectations(config.expect_path)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        exit_code = apply_expectations(expectations, checks) or exit_code
+    exit_code = apply_expectations(expectations, checks)
     if config.strict and checks.get("holds") is False:
         exit_code = 1
     return exit_code

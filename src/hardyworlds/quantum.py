@@ -44,9 +44,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
 from .errors import DomainError, InvalidModelError
 from .labels import OUTCOMES, SETTING_PAIRS, Outcome, Region, Setting
 
@@ -96,11 +93,6 @@ class BipartiteState:
 
     def amplitude(self, left_bit: int, right_bit: int) -> complex:
         return self.amplitudes[2 * left_bit + right_bit]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Amplitudes as a 2x2 array indexed [left_bit, right_bit]."""
-        return np.array(self.amplitudes, dtype=complex).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -258,15 +250,20 @@ def joint_probability(
 
     Both vectors must be unit vectors within 1e-12.
     """
-    lv = np.array(_as_complex_pair(left_vector, "left vector"), dtype=complex)
-    rv = np.array(_as_complex_pair(right_vector, "right vector"), dtype=complex)
+    lv = _as_complex_pair(left_vector, "left vector")
+    rv = _as_complex_pair(right_vector, "right vector")
     for name, vec in (("left", lv), ("right", rv)):
-        norm = float(np.linalg.norm(vec))
+        norm = _norm(vec)
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise InvalidModelError(
                 f"{name} vector is not a unit vector (norm {norm!r})"
             )
-    amplitude = complex(np.einsum("l,r,lr->", lv.conj(), rv.conj(), state.matrix))
+    l0, l1 = (v.conjugate() for v in lv)
+    r0, r1 = (v.conjugate() for v in rv)
+    a00, a01, a10, a11 = state.amplitudes
+    # grouped by left bit, the order numpy.einsum summed in, so tables match
+    # earlier releases bit for bit
+    amplitude = (l0 * r0 * a00 + l0 * r1 * a01) + (l1 * r0 * a10 + l1 * r1 * a11)
     return min(max(abs(amplitude) ** 2, 0.0), 1.0)
 
 
@@ -368,8 +365,32 @@ def _family_h4(x: float) -> float:
     )
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """Maximum of a unimodal ``f`` on [lo, hi], bracketed to width ``xtol``.
+
+    Each step keeps the golden-ratio interior point with the larger value,
+    so it costs one evaluation of ``f``.
+    """
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xtol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc > fd else (d, fd)
+
+
 def hardy_scan(steps: int = 1000) -> tuple[float, float]:
-    """Maximize h4 over the family by grid search plus local refinement.
+    """Maximize h4 over the family by grid search plus golden-section
+    refinement around the best grid point.
 
     Returns (x_best, p_best).  ``steps`` is the number of interior grid
     points and must be at least 10.
@@ -382,14 +403,9 @@ def hardy_scan(steps: int = 1000) -> tuple[float, float]:
     best = max(range(steps), key=values.__getitem__)
     lo = grid[best - 1] if best > 0 else grid[0] / 2.0
     hi = grid[best + 1] if best < steps - 1 else (grid[-1] + 0.5) / 2.0
-    result = minimize_scalar(
-        lambda x: -_family_h4(x),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
+    refined_x, refined_p = _golden_section_max(_family_h4, lo, hi, 1e-10)
     x_best, p_best = grid[best], values[best]
-    refined_p = -float(result.fun)
     if refined_p > p_best:
-        x_best, p_best = float(result.x), refined_p
+        x_best, p_best = refined_x, refined_p
     return x_best, p_best
+

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +354,12 @@ class TestExpectations:
         code, _, err = run_cli(capsys, "suite", "--expect", "/nope/expect.txt")
         assert code == 2
 
+    def test_unreadable_expect_file_prints_no_report(self, capsys):
+        code, out, err = run_cli(capsys, "suite", "--expect", "/nope/expect.txt")
+        assert code == 2
+        assert out == ""
+        assert "cannot read expectation file" in err
+
     def test_flow_and_frames_checks(self, capsys, tmp_path):
         flow_path = tmp_path / "flow.txt"
         flow_path.write_text("f_of_L2=true\nf_of_L1=false\ndependent=true\n")
@@ -386,3 +394,19 @@ class TestEntryPoints:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_cli_import_loads_no_numeric_libraries(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import hardyworlds.cli, sys; "
+                "print(sorted({'numpy', 'scipy'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

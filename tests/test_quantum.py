@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardyworlds.errors import DomainError, InvalidModelError
 from hardyworlds.labels import OUTCOMES, SETTING_PAIRS, Outcome, Setting
@@ -21,10 +23,28 @@ from hardyworlds.quantum import (
 )
 from oracles import HARDY_MAX, born_probability, brute_force_table, closed_form_h4
 
+HARDY_ARGMAX = (3.0 - math.sqrt(5.0)) / 2.0
+
 SQRT3 = math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
 D_PLUS = (1.0 / SQRT2, -1.0 / SQRT2)
 D_MINUS = (1.0 / SQRT2, 1.0 / SQRT2)
+
+
+def normalized(parts):
+    """Unit complex vector from interleaved real and imaginary parts."""
+    vector = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    norm = math.sqrt(sum(abs(v) ** 2 for v in vector))
+    assume(norm > 1e-3)
+    return tuple(v / norm for v in vector)
+
+
+def unit_parts(components):
+    return st.lists(
+        st.floats(min_value=-1.0, max_value=1.0),
+        min_size=2 * components,
+        max_size=2 * components,
+    )
 
 
 def product_state(left_vector, right_vector):
@@ -108,6 +128,15 @@ class TestJointProbability:
                     assert joint_probability(state, lv, rv) == pytest.approx(
                         born_probability(state.amplitudes, lv, rv), abs=1e-12
                     )
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_parts(4), unit_parts(2), unit_parts(2))
+    def test_matches_oracle_on_random_states(self, amps, left, right):
+        state = BipartiteState(normalized(amps))
+        lv, rv = normalized(left), normalized(right)
+        assert joint_probability(state, lv, rv) == pytest.approx(
+            born_probability(state.amplitudes, lv, rv), abs=1e-15
+        )
 
     def test_rejects_non_unit_vector(self, canonical_pair):
         state, _ = canonical_pair
@@ -329,3 +358,9 @@ class TestHardyScan:
 
     def test_deterministic(self):
         assert hardy_scan(50) == hardy_scan(50)
+
+    @pytest.mark.parametrize("steps", [10, 1000])
+    def test_refinement_reaches_the_analytic_optimum(self, steps):
+        x_best, p_best = hardy_scan(steps)
+        assert abs(p_best - HARDY_MAX) <= 1e-12
+        assert abs(x_best - HARDY_ARGMAX) <= 1e-8
