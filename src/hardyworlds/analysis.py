@@ -15,14 +15,14 @@ faraway choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
 from typing import Mapping
 
 from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
-from .labels import OUTCOMES, SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
-from .quantum import JointProbabilityTable
+from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
+from .quantum import CELLS, JointProbabilityTable, TableKey
 from .semantics import LocalityCondition, TruthReport, eval_world, eval_model
 from .worlds import EPSILON_DEFAULT, World, WorldModel, enumerate_worlds
 
@@ -180,7 +180,7 @@ def frame_comparison(
     policies at that world.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
-    model_r = enumerate_worlds(table, epsilon, FrameOrdering.RIGHT_BEFORE_LEFT)
+    model_r = replace(model_l, frame=FrameOrdering.RIGHT_BEFORE_LEFT)
     suites = {
         LOC1_L_FIRST: theorem_suite(model_l, LocalityCondition.LOC1),
         LOC1_R_FIRST: theorem_suite(model_r, LocalityCondition.LOC1),
@@ -275,22 +275,37 @@ _HARDY_ZERO_NAMES = {
 }
 
 
-def _cell_text(key: tuple[Setting, Setting, Outcome, Outcome]) -> str:
+def _cell_text(key: TableKey) -> str:
     ls, rs, lo, ro = key
     return f"P({ls}{lo},{rs}{ro} | {ls},{rs})"
 
 
-def _zero_label(key: tuple[Setting, Setting, Outcome, Outcome]) -> str:
+def _zero_label(key: TableKey) -> str:
     name = _HARDY_ZERO_NAMES.get(key)
     base = f"{_cell_text(key)} = 0"
     return f"{name}: {base}" if name else base
 
 
-def _all_strategies() -> list[DeterministicStrategy]:
-    return [
+def _lowest_cell(mask: int) -> TableKey:
+    """The first cell, in CELLS order, of a nonzero cell mask."""
+    return CELLS[(mask & -mask).bit_length() - 1]
+
+
+@cache
+def _strategy_masks() -> tuple[tuple[tuple[DeterministicStrategy, int], ...], int]:
+    """Each of the 16 strategies with the mask of the cells it produces, and
+    the mask of the Hardy-named zeros; bit i stands for CELLS[i].  Built on
+    the first call, not at import."""
+    strategies = tuple(
         DeterministicStrategy(*combo)
         for combo in product(OUTCOMES, OUTCOMES, OUTCOMES, OUTCOMES)
-    ]
+    )
+    masks = tuple(
+        sum(1 << i for i, cell in enumerate(CELLS) if strategy.produces(*cell))
+        for strategy in strategies
+    )
+    named = sum(1 << CELLS.index(key) for key in _HARDY_ZERO_NAMES)
+    return tuple(zip(strategies, masks)), named
 
 
 def lhv_feasibility(
@@ -298,39 +313,40 @@ def lhv_feasibility(
     epsilon: float = EPSILON_DEFAULT,
 ) -> FeasibilityReport:
     """Exhaustive check of the 16 local deterministic strategies."""
-    zero_cells = [key for key, p in _sorted_cells(table) if p <= epsilon]
-    # list Hardy-named zeros first so canonical traces cite h1..h3
-    zero_cells.sort(key=lambda key: (key not in _HARDY_ZERO_NAMES, _cell_sort(key)))
-    positive_cells = [key for key, p in _sorted_cells(table) if p > epsilon]
+    strategies, named = _strategy_masks()
+    # entries iterate in CELLS order, so cell i is bit i
+    zero = sum(1 << i for i, p in enumerate(table.entries.values()) if p <= epsilon)
+    positive = ((1 << len(CELLS)) - 1) & ~zero
+
+    def first_zero(mask: int) -> TableKey:
+        # Hardy-named zeros first so canonical traces cite h1..h3
+        hits = mask & zero
+        return _lowest_cell(hits & named or hits)
 
     excluded: list[tuple[DeterministicStrategy, str]] = []
     survivors: list[DeterministicStrategy] = []
-    for strategy in _all_strategies():
-        hit = next(
-            (key for key in zero_cells if strategy.produces(*key)), None
-        )
-        if hit is not None:
-            excluded.append((strategy, _zero_label(hit)))
+    coverage = 0
+    for strategy, mask in strategies:
+        if mask & zero:
+            excluded.append((strategy, _zero_label(first_zero(mask))))
         else:
             survivors.append(strategy)
+            coverage |= mask
 
-    uncovered = [
-        key
-        for key in positive_cells
-        if not any(s.produces(*key) for s in survivors)
-    ]
+    uncovered = positive & ~coverage
     if uncovered:
-        key = uncovered[0]
+        bit = uncovered & -uncovered
+        key = _lowest_cell(bit)
         lines = [
             f"table demands {_cell_text(key)} > 0 "
             f"(= {table.entries[key]:.9f}), but every deterministic strategy "
             "producing that pair is excluded:"
         ]
-        for strategy in _all_strategies():
-            if not strategy.produces(*key):
-                continue
-            hit = next(k for k in zero_cells if strategy.produces(*k))
-            lines.append(f"  {strategy.label()} excluded by {_zero_label(hit)}")
+        for strategy, mask in strategies:
+            if mask & bit:
+                lines.append(
+                    f"  {strategy.label()} excluded by {_zero_label(first_zero(mask))}"
+                )
         lines.append(
             "no mixture of surviving strategies can give this pair positive "
             "probability, so no local deterministic account exists"
@@ -338,7 +354,7 @@ def lhv_feasibility(
         trace = "\n".join(lines)
     else:
         trace = (
-            f"all {len(positive_cells)} demanded outcome pairs are covered by "
+            f"all {positive.bit_count()} demanded outcome pairs are covered by "
             f"the {len(survivors)} surviving strategies; a uniform mixture "
             "over them realizes every required positivity"
         )
@@ -348,12 +364,3 @@ def lhv_feasibility(
         contradiction_trace=trace,
         surviving_strategies=tuple(survivors),
     )
-
-
-def _cell_sort(key: tuple[Setting, Setting, Outcome, Outcome]) -> tuple:
-    ls, rs, lo, ro = key
-    return (ls.index, rs.index, lo.sort_index, ro.sort_index)
-
-
-def _sorted_cells(table: JointProbabilityTable):
-    return sorted(table.entries.items(), key=lambda item: _cell_sort(item[0]))

@@ -41,17 +41,34 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InvalidModelError
-from .labels import OUTCOMES, SETTING_PAIRS, Outcome, Region, Setting
+from .labels import (
+    LEFT_SETTINGS,
+    OUTCOMES,
+    RIGHT_SETTINGS,
+    SETTING_PAIRS,
+    Outcome,
+    Region,
+    Setting,
+)
 
 NORMALIZATION_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
 
 ComplexVector = tuple[complex, complex]
 TableKey = tuple[Setting, Setting, Outcome, Outcome]
+
+# The 16 table cells in sort_key order: left setting, right setting, left
+# outcome, right outcome, plus before minus.  Cell i of a table is CELLS[i],
+# and the four cells of setting pair k are CELLS[4k:4k+4].
+CELLS: tuple[TableKey, ...] = tuple(
+    product(LEFT_SETTINGS, RIGHT_SETTINGS, OUTCOMES, OUTCOMES)
+)
+_CELL_SET = frozenset(CELLS)
 
 
 def _as_complex_pair(vector: Sequence[complex], what: str) -> ComplexVector:
@@ -157,36 +174,34 @@ class JointProbabilityTable:
     """Conditional outcome distribution for each of the four setting pairs.
 
     ``entries`` maps (left setting, right setting, left outcome, right
-    outcome) to a probability.  The constructor checks completeness and
-    nonnegativity; ``validate_rows`` additionally checks that each setting
-    pair's four probabilities sum to 1, which holds for every table produced
-    by ``probability_table`` but can be skipped for deliberately degenerate
-    tables used to exercise error paths.
+    outcome) to a probability and iterates in ``CELLS`` order.  The
+    constructor checks completeness and nonnegativity; ``validate_rows``
+    additionally checks that each setting pair's four probabilities sum to 1,
+    which holds for every table produced by ``probability_table`` but can be
+    skipped for deliberately degenerate tables used to exercise error paths.
     """
 
     entries: Mapping[TableKey, float]
 
     def __post_init__(self) -> None:
         entries = dict(self.entries)
-        expected = {
-            (ls, rs, lo, ro)
-            for ls, rs in SETTING_PAIRS
-            for lo in OUTCOMES
-            for ro in OUTCOMES
-        }
-        if set(entries) != expected:
+        if set(entries) != _CELL_SET:
             raise InvalidModelError(
                 "table must contain exactly the 16 setting/outcome combinations"
             )
-        clean: dict[TableKey, float] = {}
+        if tuple(entries) != CELLS:
+            entries = {key: entries[key] for key in CELLS}
         for key, value in entries.items():
             p = float(value)
             if not math.isfinite(p):
                 raise InvalidModelError(f"probability for {key} is not finite")
             if p < 0.0:
                 raise InvalidModelError(f"probability for {key} is negative: {p!r}")
-            clean[key] = p
-        object.__setattr__(self, "entries", MappingProxyType(clean))
+            # storing hashes the tuple-of-enum key again, so only converted
+            # values are stored back
+            if type(value) is not float:
+                entries[key] = p
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def prob(
         self,
@@ -210,8 +225,9 @@ class JointProbabilityTable:
         return sum(self.row(left_setting, right_setting).values())
 
     def validate_rows(self, tol: float = ROW_SUM_TOL) -> None:
-        for ls, rs in SETTING_PAIRS:
-            total = self.row_sum(ls, rs)
+        values = tuple(self.entries.values())
+        for k, (ls, rs) in enumerate(SETTING_PAIRS):
+            total = sum(values[4 * k : 4 * k + 4])
             if abs(total - 1.0) > tol:
                 raise InvalidModelError(
                     f"outcome probabilities for ({ls}, {rs}) sum to {total!r}, "
@@ -241,6 +257,21 @@ class HardyConstraintReport:
         return self.failures[0] if self.failures else None
 
 
+def _born(
+    amplitudes: tuple[complex, complex, complex, complex],
+    left_vector: ComplexVector,
+    right_vector: ComplexVector,
+) -> float:
+    """|<lv (x) rv|psi>|^2 for already validated amplitudes and vectors."""
+    l0, l1 = left_vector[0].conjugate(), left_vector[1].conjugate()
+    r0, r1 = right_vector[0].conjugate(), right_vector[1].conjugate()
+    a00, a01, a10, a11 = amplitudes
+    # grouped by left bit, the order numpy.einsum summed in, so tables match
+    # earlier releases bit for bit
+    amplitude = (l0 * r0 * a00 + l0 * r1 * a01) + (l1 * r0 * a10 + l1 * r1 * a11)
+    return min(max(abs(amplitude) ** 2, 0.0), 1.0)
+
+
 def joint_probability(
     state: BipartiteState,
     left_vector: Sequence[complex],
@@ -258,37 +289,32 @@ def joint_probability(
             raise InvalidModelError(
                 f"{name} vector is not a unit vector (norm {norm!r})"
             )
-    l0, l1 = (v.conjugate() for v in lv)
-    r0, r1 = (v.conjugate() for v in rv)
-    a00, a01, a10, a11 = state.amplitudes
-    # grouped by left bit, the order numpy.einsum summed in, so tables match
-    # earlier releases bit for bit
-    amplitude = (l0 * r0 * a00 + l0 * r1 * a01) + (l1 * r0 * a10 + l1 * r1 * a11)
-    return min(max(abs(amplitude) ** 2, 0.0), 1.0)
+    return _born(state.amplitudes, lv, rv)
 
 
 def probability_table(
     state: BipartiteState, config: ExperimentConfig
 ) -> JointProbabilityTable:
-    """Full conditional outcome table of ``state`` under ``config``."""
-    entries: dict[TableKey, float] = {}
-    for ls, rs in SETTING_PAIRS:
-        for lo in OUTCOMES:
-            for ro in OUTCOMES:
-                entries[(ls, rs, lo, ro)] = joint_probability(
-                    state, config.vector_for(ls, lo), config.vector_for(rs, ro)
-                )
-    table = JointProbabilityTable(entries)
+    """Full conditional outcome table of ``state`` under ``config``.
+
+    The state and the bases validated their vectors when they were built,
+    so each cell is a bare Born sum.
+    """
+    left = [[config.vector_for(s, o) for o in OUTCOMES] for s in LEFT_SETTINGS]
+    right = [[config.vector_for(s, o) for o in OUTCOMES] for s in RIGHT_SETTINGS]
+    # the same nesting as CELLS: setting pair, then outcome pair
+    probabilities = (
+        _born(state.amplitudes, lv, rv)
+        for lvs, rvs in product(left, right)
+        for lv, rv in product(lvs, rvs)
+    )
+    table = JointProbabilityTable(dict(zip(CELLS, probabilities)))
     table.validate_rows()
     return table
 
 
-def hardy_family(x: float) -> tuple[BipartiteState, ExperimentConfig]:
-    """Member x of the one-parameter Hardy family; requires 0 < x < 1/2.
-
-    The three h-zeros hold exactly by construction and
-    h4 = (1-2x) x^2 / (1-x)^2 > 0.
-    """
+def _family_state_and_tilt(x: float) -> tuple[BipartiteState, MeasurementBasis]:
+    """The state of member x and its tilted basis, both validated."""
     x = float(x)
     if not 0.0 < x < 0.5:
         raise DomainError(f"family parameter must lie strictly in (0, 1/2), got {x!r}")
@@ -300,6 +326,16 @@ def hardy_family(x: float) -> tuple[BipartiteState, ExperimentConfig]:
         plus=(beta / scale, -alpha / scale),
         minus=(alpha / scale, beta / scale),
     )
+    return state, tilted
+
+
+def hardy_family(x: float) -> tuple[BipartiteState, ExperimentConfig]:
+    """Member x of the one-parameter Hardy family; requires 0 < x < 1/2.
+
+    The three h-zeros hold exactly by construction and
+    h4 = (1-2x) x^2 / (1-x)^2 > 0.
+    """
+    state, tilted = _family_state_and_tilt(x)
     config = ExperimentConfig(
         left={1: tilted, 2: COMPUTATIONAL_BASIS},
         right={1: COMPUTATIONAL_BASIS, 2: tilted},
@@ -357,12 +393,10 @@ def verify_hardy_constraints(
 
 
 def _family_h4(x: float) -> float:
-    state, config = hardy_family(x)
-    return joint_probability(
-        state,
-        config.vector_for(Setting.L1, Outcome.PLUS),
-        config.vector_for(Setting.R2, Outcome.PLUS),
-    )
+    """h4 = P(L1+, R2+ | L1, R2) of member x: both settings use the tilted
+    basis, so this is the table cell without building the configuration."""
+    state, tilted = _family_state_and_tilt(x)
+    return _born(state.amplitudes, tilted.plus, tilted.plus)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

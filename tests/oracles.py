@@ -9,6 +9,7 @@ the rules, and formula truth from a precomputed atom valuation.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from hardyworlds.formulas import (
     And,
@@ -175,6 +176,98 @@ def _random_inner(rng: random.Random, depth: int, allow_cf: bool) -> Formula:
         _random_inner(rng, depth - 1, allow_cf),
         _random_inner(rng, depth - 1, allow_cf),
     )
+
+
+HARDY_ZERO_NAMES = {
+    ("L2", "R2", "-", "+"): "h1",
+    ("L2", "R1", "+", "+"): "h2",
+    ("L1", "R1", "+", "-"): "h3",
+}
+
+
+def lhv_by_enumeration(table, epsilon: float):
+    """Second reading of the local deterministic strategy check.
+
+    A plain loop over the 16 strategies (outcomes for L1, L2, R1, R2) and
+    the 16 cells in setting-then-outcome order, plus before minus.  Returns
+    (feasible, [(strategy, label) excluded], [surviving strategy], trace),
+    each strategy as its tuple of four outcomes.
+    """
+    position = {Setting.L1: 0, Setting.L2: 1, Setting.R1: 2, Setting.R2: 3}
+    plus_minus = (Outcome.PLUS, Outcome.MINUS)
+    cells = [
+        (ls, rs, lo, ro)
+        for ls in (Setting.L1, Setting.L2)
+        for rs in (Setting.R1, Setting.R2)
+        for lo in plus_minus
+        for ro in plus_minus
+    ]
+    strategies = list(product(plus_minus, repeat=4))
+
+    def name(cell):
+        ls, rs, lo, ro = cell
+        return HARDY_ZERO_NAMES.get((ls.name, rs.name, lo.value, ro.value))
+
+    def text(cell):
+        ls, rs, lo, ro = cell
+        return f"P({ls.name}{lo.value},{rs.name}{ro.value} | {ls.name},{rs.name})"
+
+    def label(cell):
+        return f"{name(cell)}: {text(cell)} = 0" if name(cell) else f"{text(cell)} = 0"
+
+    def produces(strategy, cell):
+        ls, rs, lo, ro = cell
+        return strategy[position[ls]] is lo and strategy[position[rs]] is ro
+
+    def strategy_text(strategy):
+        return " ".join(
+            f"{s}->{strategy[i].value}" for i, s in enumerate(("L1", "L2", "R1", "R2"))
+        )
+
+    zeros = [c for c in cells if table.entries[c] <= epsilon]
+    zeros = [c for c in zeros if name(c)] + [c for c in zeros if not name(c)]
+    positives = [c for c in cells if table.entries[c] > epsilon]
+
+    def first_zero(strategy):
+        for cell in zeros:
+            if produces(strategy, cell):
+                return cell
+        return None
+
+    excluded, survivors = [], []
+    for strategy in strategies:
+        hit = first_zero(strategy)
+        if hit is None:
+            survivors.append(strategy)
+        else:
+            excluded.append((strategy, label(hit)))
+    uncovered = [
+        c for c in positives if not any(produces(s, c) for s in survivors)
+    ]
+    if uncovered:
+        cell = uncovered[0]
+        lines = [
+            f"table demands {text(cell)} > 0 (= {table.entries[cell]:.9f}), "
+            "but every deterministic strategy producing that pair is excluded:"
+        ]
+        for strategy in strategies:
+            if produces(strategy, cell):
+                lines.append(
+                    f"  {strategy_text(strategy)} excluded by "
+                    f"{label(first_zero(strategy))}"
+                )
+        lines.append(
+            "no mixture of surviving strategies can give this pair positive "
+            "probability, so no local deterministic account exists"
+        )
+        trace = "\n".join(lines)
+    else:
+        trace = (
+            f"all {len(positives)} demanded outcome pairs are covered by the "
+            f"{len(survivors)} surviving strategies; a uniform mixture over "
+            "them realizes every required positivity"
+        )
+    return not uncovered, excluded, survivors, trace
 
 
 def find_world(model: WorldModel, ls: str, rs: str, lo: str, ro: str) -> World:

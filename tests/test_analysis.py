@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyworlds.analysis import (
     DIVERGENCE_TEXT,
@@ -21,13 +23,16 @@ from hardyworlds.analysis import (
 from hardyworlds.formulas import Entails, SettingAtom, parse, pretty_print
 from hardyworlds.labels import FrameOrdering, Outcome, Setting
 from hardyworlds.quantum import (
+    CELLS,
     BipartiteState,
+    JointProbabilityTable,
     canonical_hardy_model,
     hardy_family,
     probability_table,
 )
 from hardyworlds.semantics import LocalityCondition
 from hardyworlds.worlds import enumerate_worlds
+from oracles import lhv_by_enumeration
 
 LOC1 = LocalityCondition.LOC1
 LIGHT_CONE = LocalityCondition.LIGHT_CONE
@@ -286,3 +291,52 @@ class TestLhvFeasibility:
         assert report.contradiction_trace.startswith(
             "table demands P(L1+,R1+ | L1,R1) > 0 (= 0.166666667)"
         )
+
+
+def outcomes(strategy):
+    return (strategy.on_l1, strategy.on_l2, strategy.on_r1, strategy.on_r2)
+
+
+def assert_matches_enumeration(table, epsilon):
+    report = lhv_feasibility(table, epsilon)
+    feasible, excluded, survivors, trace = lhv_by_enumeration(table, epsilon)
+    assert report.feasible is feasible
+    assert [
+        (outcomes(strategy), label) for strategy, label in report.excluded_strategies
+    ] == excluded
+    assert [outcomes(s) for s in report.surviving_strategies] == survivors
+    assert report.contradiction_trace == trace
+
+
+class TestLhvAgainstEnumeration:
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.09])
+    def test_canonical(self, canonical_table, epsilon):
+        assert_matches_enumeration(canonical_table, epsilon)
+
+    def test_family_and_uniform(self, uniform_table):
+        assert_matches_enumeration(uniform_table, 1e-9)
+        for x in (1e-5, 0.2, 0.45):
+            assert_matches_enumeration(probability_table(*hardy_family(x)), 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        zero_pattern=st.integers(0, (1 << 16) - 1),
+        on_threshold=st.integers(0, (1 << 16) - 1),
+        positives=st.lists(
+            st.floats(min_value=2e-3, max_value=1.0), min_size=16, max_size=16
+        ),
+        epsilon=st.sampled_from([1e-9, 1e-3]),
+        order=st.permutations(range(16)),
+    )
+    def test_random_zero_patterns(
+        self, zero_pattern, on_threshold, positives, epsilon, order
+    ):
+        # cells in the zero pattern sit at 0 or exactly on the threshold;
+        # the table is built in a random key order
+        entries = {}
+        for i in order:
+            if zero_pattern >> i & 1:
+                entries[CELLS[i]] = epsilon if on_threshold >> i & 1 else 0.0
+            else:
+                entries[CELLS[i]] = positives[i]
+        assert_matches_enumeration(JointProbabilityTable(entries), epsilon)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hardyworlds.errors import DomainError, InvalidModelError
 from hardyworlds.labels import OUTCOMES, SETTING_PAIRS, Outcome, Setting
 from hardyworlds.quantum import (
+    CELLS,
     COMPUTATIONAL_BASIS,
     BipartiteState,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from hardyworlds.quantum import (
     canonical_hardy_model,
     hardy_family,
     hardy_scan,
+    _family_h4,
     joint_probability,
     probability_table,
     verify_hardy_constraints,
@@ -45,6 +47,12 @@ def unit_parts(components):
         min_size=2 * components,
         max_size=2 * components,
     )
+
+
+def random_basis(parts):
+    """Orthonormal basis whose plus vector is normalized(parts)."""
+    a, b = normalized(parts)
+    return MeasurementBasis(plus=(a, b), minus=(-b.conjugate(), a.conjugate()))
 
 
 def product_state(left_vector, right_vector):
@@ -186,6 +194,36 @@ class TestProbabilityTable:
         oracle = brute_force_table(state, config)
         for key, expected in oracle.items():
             assert canonical_table.entries[key] == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_parts(4), unit_parts(2), unit_parts(2), unit_parts(2), unit_parts(2))
+    def test_cells_equal_joint_probability_exactly(self, amps, l1, l2, r1, r2):
+        state = BipartiteState(normalized(amps))
+        config = ExperimentConfig(
+            left={1: random_basis(l1), 2: random_basis(l2)},
+            right={1: random_basis(r1), 2: random_basis(r2)},
+        )
+        table = probability_table(state, config)
+        for key in CELLS:
+            ls, rs, lo, ro = key
+            assert table.entries[key] == joint_probability(
+                state, config.vector_for(ls, lo), config.vector_for(rs, ro)
+            ), key
+
+    def test_entries_iterate_in_cell_order(self, canonical_table):
+        assert tuple(canonical_table.entries) == CELLS
+        shuffled = list(canonical_table.entries.items())
+        random.Random(4).shuffle(shuffled)
+        rebuilt = JointProbabilityTable(dict(shuffled))
+        assert tuple(rebuilt.entries) == CELLS
+        assert rebuilt == canonical_table
+
+    def test_cells_are_in_sort_key_order(self):
+        keys = [
+            (ls.index, rs.index, lo.sort_index, ro.sort_index)
+            for ls, rs, lo, ro in CELLS
+        ]
+        assert keys == sorted(keys) and len(set(CELLS)) == 16
 
     def test_rows_sum_to_one(self, canonical_table):
         for ls, rs in SETTING_PAIRS:
@@ -358,6 +396,18 @@ class TestHardyScan:
 
     def test_deterministic(self):
         assert hardy_scan(50) == hardy_scan(50)
+
+    def test_scan_h4_equals_joint_probability_exactly(self):
+        rng = random.Random(17)
+        grid = [0.5 * (j + 1) / 1001 for j in range(0, 1000, 37)]
+        for x in grid + [rng.uniform(1e-6, 0.5 - 1e-6) for _ in range(50)]:
+            state, config = hardy_family(x)
+            expected = joint_probability(
+                state,
+                config.vector_for(Setting.L1, Outcome.PLUS),
+                config.vector_for(Setting.R2, Outcome.PLUS),
+            )
+            assert _family_h4(x) == expected, x
 
     @pytest.mark.parametrize("steps", [10, 1000])
     def test_refinement_reaches_the_analytic_optimum(self, steps):
