@@ -15,7 +15,6 @@ faraway choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
 from typing import Mapping
@@ -23,6 +22,7 @@ from typing import Mapping
 from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
 from .quantum import CELLS, JointProbabilityTable, TableKey
+from .records import Record
 from .semantics import LocalityCondition, TruthReport, eval_world, eval_model
 from .worlds import EPSILON_DEFAULT, World, WorldModel, enumerate_worlds
 
@@ -37,14 +37,25 @@ LOC1_R_FIRST = "loc1-r-first"
 LIGHT_CONE_KEY = "lightcone"
 
 
-@dataclass(frozen=True)
-class FormulaCatalog:
+class FormulaCatalog(Record):
     """The analysed statements, parsed once from their canonical texts."""
 
     stmt1: Formula
     stmt2: Formula
     stmt3: Formula
     right_region_statement: Formula
+
+    def __init__(
+        self,
+        stmt1: Formula,
+        stmt2: Formula,
+        stmt3: Formula,
+        right_region_statement: Formula,
+    ) -> None:
+        object.__setattr__(self, "stmt1", stmt1)
+        object.__setattr__(self, "stmt2", stmt2)
+        object.__setattr__(self, "stmt3", stmt3)
+        object.__setattr__(self, "right_region_statement", right_region_statement)
 
     def statements(self) -> dict[str, Formula]:
         return {"stmt1": self.stmt1, "stmt2": self.stmt2, "stmt3": self.stmt3}
@@ -73,13 +84,22 @@ def _divergence_formula() -> Formula:
     return parse(DIVERGENCE_TEXT)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     """Truth reports for the catalogued statements, keyed stmt1..stmt3."""
 
     statements: Mapping[str, TruthReport]
     locality: LocalityCondition
     frame: FrameOrdering
+
+    def __init__(
+        self,
+        statements: Mapping[str, TruthReport],
+        locality: LocalityCondition,
+        frame: FrameOrdering,
+    ) -> None:
+        object.__setattr__(self, "statements", statements)
+        object.__setattr__(self, "locality", locality)
+        object.__setattr__(self, "frame", frame)
 
     def truth_values(self) -> dict[str, bool]:
         return {name: report.holds for name, report in self.statements.items()}
@@ -111,8 +131,7 @@ READING_REFERENCE = (
 )
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(Record):
     """Does the truth of the shared right-region statement track the left
     choice?"""
 
@@ -121,7 +140,23 @@ class FlowReport:
     dependent: bool
     witness: World | None
     reports: Mapping[str, TruthReport]
-    interpretation: tuple[str, str] = (READING_TRANSFER, READING_REFERENCE)
+    interpretation: tuple[str, str]
+
+    def __init__(
+        self,
+        f_of_L2: bool,
+        f_of_L1: bool,
+        dependent: bool,
+        witness: World | None,
+        reports: Mapping[str, TruthReport],
+        interpretation: tuple[str, str] = (READING_TRANSFER, READING_REFERENCE),
+    ) -> None:
+        object.__setattr__(self, "f_of_L2", f_of_L2)
+        object.__setattr__(self, "f_of_L1", f_of_L1)
+        object.__setattr__(self, "dependent", dependent)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "interpretation", interpretation)
 
 
 def information_flow(
@@ -146,26 +181,41 @@ def information_flow(
     )
 
 
-@dataclass(frozen=True)
-class DivergenceExample:
+class DivergenceExample(Record):
     """A single world where LOC1 and the light-cone policy disagree."""
 
     formula: Formula
     world: World
     results: Mapping[str, bool]
 
+    def __init__(
+        self, formula: Formula, world: World, results: Mapping[str, bool]
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "results", results)
+
     @property
     def text(self) -> str:
         return pretty_print(self.formula)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Statement suites under both frames and both locality policies."""
 
     suites: Mapping[str, SuiteReport]
     divergence: DivergenceExample | None
     stmt1_frame_dependent: bool
+
+    def __init__(
+        self,
+        suites: Mapping[str, SuiteReport],
+        divergence: DivergenceExample | None,
+        stmt1_frame_dependent: bool,
+    ) -> None:
+        object.__setattr__(self, "suites", suites)
+        object.__setattr__(self, "divergence", divergence)
+        object.__setattr__(self, "stmt1_frame_dependent", stmt1_frame_dependent)
 
 
 def frame_comparison(
@@ -180,7 +230,9 @@ def frame_comparison(
     policies at that world.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
-    model_r = replace(model_l, frame=FrameOrdering.RIGHT_BEFORE_LEFT)
+    model_r = WorldModel(
+        model_l.worlds, model_l.table, model_l.epsilon, FrameOrdering.RIGHT_BEFORE_LEFT
+    )
     suites = {
         LOC1_L_FIRST: theorem_suite(model_l, LocalityCondition.LOC1),
         LOC1_R_FIRST: theorem_suite(model_r, LocalityCondition.LOC1),
@@ -213,14 +265,21 @@ def frame_comparison(
     )
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(Record):
     """A local hidden assignment: one outcome per choice on each side."""
 
     on_l1: Outcome
     on_l2: Outcome
     on_r1: Outcome
     on_r2: Outcome
+
+    def __init__(
+        self, on_l1: Outcome, on_l2: Outcome, on_r1: Outcome, on_r2: Outcome
+    ) -> None:
+        object.__setattr__(self, "on_l1", on_l1)
+        object.__setattr__(self, "on_l2", on_l2)
+        object.__setattr__(self, "on_r1", on_r1)
+        object.__setattr__(self, "on_r2", on_r2)
 
     @property
     def left_map(self) -> dict[Setting, Outcome]:
@@ -251,8 +310,7 @@ class DeterministicStrategy:
         )
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     """Whether any mixture of local deterministic strategies fits the table.
 
     A strategy is excluded as soon as it would give positive weight to an
@@ -265,7 +323,19 @@ class FeasibilityReport:
     feasible: bool
     excluded_strategies: tuple[tuple[DeterministicStrategy, str], ...]
     contradiction_trace: str
-    surviving_strategies: tuple[DeterministicStrategy, ...] = ()
+    surviving_strategies: tuple[DeterministicStrategy, ...]
+
+    def __init__(
+        self,
+        feasible: bool,
+        excluded_strategies: tuple[tuple[DeterministicStrategy, str], ...],
+        contradiction_trace: str,
+        surviving_strategies: tuple[DeterministicStrategy, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "excluded_strategies", excluded_strategies)
+        object.__setattr__(self, "contradiction_trace", contradiction_trace)
+        object.__setattr__(self, "surviving_strategies", surviving_strategies)
 
 
 _HARDY_ZERO_NAMES = {

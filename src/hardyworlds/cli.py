@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -32,6 +30,7 @@ from .quantum import (
     hardy_scan,
     probability_table,
 )
+from .records import Record
 from .semantics import LocalityCondition, TruthReport, eval_model
 from .worlds import EPSILON_DEFAULT, EPSILON_MAX, World, WorldModel, enumerate_worlds
 
@@ -45,8 +44,7 @@ LOCALITIES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     model_source: str
     epsilon: float
     frame: FrameOrdering
@@ -55,15 +53,37 @@ class RunConfig:
     strict: bool
     expect_path: str | None
 
+    def __init__(
+        self,
+        model_source: str,
+        epsilon: float,
+        frame: FrameOrdering,
+        locality: LocalityCondition,
+        output_format: str,
+        strict: bool,
+        expect_path: str | None,
+    ) -> None:
+        object.__setattr__(self, "model_source", model_source)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "locality", locality)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "expect_path", expect_path)
+
 
 def format_probability(value: float) -> str:
-    """Nine decimal digits, plus the nearest small fraction when exact."""
+    """Nine decimal digits, plus the fraction p/q with q <= 100 that lies
+    within 1e-9 of the value, if there is one.
+
+    Two such fractions differ by at least 1/9900, so at most one lies that
+    close, and the smallest q that reaches it gives it in lowest terms.
+    """
     text = f"{value:.9f}"
-    nearest = Fraction(value).limit_denominator(100)
-    if abs(float(nearest) - value) <= 1e-9:
-        if nearest.denominator == 1:
-            return f"{text} (={nearest.numerator})"
-        return f"{text} (={nearest.numerator}/{nearest.denominator})"
+    for q in range(1, 101):
+        p = round(value * q)
+        if abs(p / q - value) <= 1e-9:
+            return f"{text} (={p})" if q == 1 else f"{text} (={p}/{q})"
     return text
 
 

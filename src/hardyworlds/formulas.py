@@ -23,7 +23,6 @@ emits the canonical fully parenthesized form, and ``parse`` inverts it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import (
@@ -32,61 +31,84 @@ from .errors import (
     FormulaSyntaxError,
 )
 from .labels import Outcome, Setting
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SettingAtom:
+class SettingAtom(Record):
     """The named experiment choice is the one performed in its region."""
 
     setting: Setting
 
+    def __init__(self, setting: Setting) -> None:
+        object.__setattr__(self, "setting", setting)
 
-@dataclass(frozen=True)
-class OutcomeAtom:
+
+class OutcomeAtom(Record):
     """The named choice is performed and its region shows this outcome."""
 
     setting: Setting
     outcome: Outcome
 
+    def __init__(self, setting: Setting, outcome: Outcome) -> None:
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "outcome", outcome)
 
-@dataclass(frozen=True)
-class Not:
+
+class Not(Record):
     operand: "Formula"
 
+    def __init__(self, operand: Formula) -> None:
+        object.__setattr__(self, "operand", operand)
 
-@dataclass(frozen=True)
-class And:
+
+class And(Record):
     left: "Formula"
     right: "Formula"
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class Or:
+
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class Implies:
+
+class Implies(Record):
     left: "Formula"
     right: "Formula"
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class Counterfactual:
+
+class Counterfactual(Record):
     """Had ``antecedent`` been the choice, ``consequent`` would hold."""
 
     antecedent: Setting
     consequent: "Formula"
 
+    def __init__(self, antecedent: Setting, consequent: Formula) -> None:
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
-@dataclass(frozen=True)
-class Entails:
+
+class Entails(Record):
     """Model-level claim: every world satisfying the antecedent satisfies
     the consequent."""
 
     antecedent: "Formula"
     consequent: "Formula"
+
+    def __init__(self, antecedent: Formula, consequent: Formula) -> None:
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
 Formula = Union[
@@ -94,11 +116,15 @@ Formula = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str
     text: str
     position: int
+
+    def __init__(self, kind: str, text: str, position: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "position", position)
 
 
 _ATOM_RE = re.compile(r"[LR][12][+-]?")

@@ -28,10 +28,14 @@ _BASIS_KEYS = ("basis1", "basis2")
 
 
 def _as_complex(entry: Any, what: str) -> complex:
+    # JSON true and false decode to bool, a subclass of int
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(part, (int, float)) for part in entry)
+        or not all(
+            isinstance(part, (int, float)) and not isinstance(part, bool)
+            for part in entry
+        )
     ):
         raise InvalidModelError(f"{what} must be an [re, im] pair, got {entry!r}")
     return complex(float(entry[0]), float(entry[1]))

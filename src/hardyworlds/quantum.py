@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -55,6 +54,7 @@ from .labels import (
     Region,
     Setting,
 )
+from .records import Record
 
 NORMALIZATION_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -84,8 +84,7 @@ def _norm(vector: Iterable[complex]) -> float:
     return math.sqrt(sum(abs(v) ** 2 for v in vector))
 
 
-@dataclass(frozen=True)
-class BipartiteState:
+class BipartiteState(Record):
     """Pure state of the left-right qubit pair.
 
     ``amplitudes`` holds the four computational-basis amplitudes in the
@@ -94,8 +93,8 @@ class BipartiteState:
 
     amplitudes: tuple[complex, complex, complex, complex]
 
-    def __post_init__(self) -> None:
-        values = tuple(complex(v) for v in self.amplitudes)
+    def __init__(self, amplitudes: Sequence[complex]) -> None:
+        values = tuple(complex(v) for v in amplitudes)
         if len(values) != 4:
             raise InvalidModelError("a bipartite state needs exactly 4 amplitudes")
         if not all(cmath.isfinite(v) for v in values):
@@ -112,16 +111,15 @@ class BipartiteState:
         return self.amplitudes[2 * left_bit + right_bit]
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
+class MeasurementBasis(Record):
     """Orthonormal two-outcome basis; ``plus`` and ``minus`` are unit vectors."""
 
     plus: ComplexVector
     minus: ComplexVector
 
-    def __post_init__(self) -> None:
-        plus = _as_complex_pair(self.plus, "basis plus vector")
-        minus = _as_complex_pair(self.minus, "basis minus vector")
+    def __init__(self, plus: Sequence[complex], minus: Sequence[complex]) -> None:
+        plus = _as_complex_pair(plus, "basis plus vector")
+        minus = _as_complex_pair(minus, "basis minus vector")
         for name, vec in (("plus", plus), ("minus", minus)):
             norm = _norm(vec)
             if abs(norm - 1.0) > NORMALIZATION_TOL:
@@ -143,23 +141,26 @@ class MeasurementBasis:
 COMPUTATIONAL_BASIS = MeasurementBasis(plus=(0, 1), minus=(1, 0))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Basis assignment for both regions, keyed by setting label 1 and 2."""
 
     left: Mapping[int, MeasurementBasis]
     right: Mapping[int, MeasurementBasis]
 
-    def __post_init__(self) -> None:
-        for side, mapping in (("left", self.left), ("right", self.right)):
+    def __init__(
+        self,
+        left: Mapping[int, MeasurementBasis],
+        right: Mapping[int, MeasurementBasis],
+    ) -> None:
+        for side, mapping in (("left", left), ("right", right)):
             if set(mapping) != {1, 2}:
                 raise InvalidModelError(
                     f"{side} bases must be keyed by setting labels 1 and 2"
                 )
             if not all(isinstance(b, MeasurementBasis) for b in mapping.values()):
                 raise InvalidModelError(f"{side} bases must be MeasurementBasis values")
-        object.__setattr__(self, "left", MappingProxyType(dict(self.left)))
-        object.__setattr__(self, "right", MappingProxyType(dict(self.right)))
+        object.__setattr__(self, "left", MappingProxyType(dict(left)))
+        object.__setattr__(self, "right", MappingProxyType(dict(right)))
 
     def basis_for(self, setting: Setting) -> MeasurementBasis:
         side = self.left if setting.region is Region.LEFT else self.right
@@ -169,8 +170,7 @@ class ExperimentConfig:
         return self.basis_for(setting).vector(outcome)
 
 
-@dataclass(frozen=True)
-class JointProbabilityTable:
+class JointProbabilityTable(Record):
     """Conditional outcome distribution for each of the four setting pairs.
 
     ``entries`` maps (left setting, right setting, left outcome, right
@@ -183,8 +183,8 @@ class JointProbabilityTable:
 
     entries: Mapping[TableKey, float]
 
-    def __post_init__(self) -> None:
-        entries = dict(self.entries)
+    def __init__(self, entries: Mapping[TableKey, float]) -> None:
+        entries = dict(entries)
         if set(entries) != _CELL_SET:
             raise InvalidModelError(
                 "table must contain exactly the 16 setting/outcome combinations"
@@ -235,8 +235,7 @@ class JointProbabilityTable:
                 )
 
 
-@dataclass(frozen=True)
-class HardyConstraintReport:
+class HardyConstraintReport(Record):
     """The three zeros and two strict positivities of a Hardy experiment.
 
     ``failures`` lists the names of violated constraints in the fixed order
@@ -250,7 +249,27 @@ class HardyConstraintReport:
     nonvacuous: float
     epsilon: float
     satisfied: bool
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...]
+
+    def __init__(
+        self,
+        h1_zero: float,
+        h2_zero: float,
+        h3_zero: float,
+        h4_positive: float,
+        nonvacuous: float,
+        epsilon: float,
+        satisfied: bool,
+        failures: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "h1_zero", h1_zero)
+        object.__setattr__(self, "h2_zero", h2_zero)
+        object.__setattr__(self, "h3_zero", h3_zero)
+        object.__setattr__(self, "h4_positive", h4_positive)
+        object.__setattr__(self, "nonvacuous", nonvacuous)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def first_failure(self) -> str | None:

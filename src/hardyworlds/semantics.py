@@ -26,7 +26,6 @@ never silently treated as truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import EntailmentNestingError, UnknownWorldError
 from .formulas import (
@@ -43,6 +42,7 @@ from .formulas import (
     require_entails_free,
 )
 from .labels import FrameOrdering, Region, Setting
+from .records import Record
 from .worlds import World, WorldModel
 
 
@@ -60,27 +60,40 @@ class CounterfactualTruth(enum.Enum):
     VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class AccessibleSet:
+class AccessibleSet(Record):
     source: World
     changed_region: Region
     new_setting: Setting
     worlds: frozenset[World]
 
+    def __init__(
+        self,
+        source: World,
+        changed_region: Region,
+        new_setting: Setting,
+        worlds: frozenset[World],
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "changed_region", changed_region)
+        object.__setattr__(self, "new_setting", new_setting)
+        object.__setattr__(self, "worlds", worlds)
 
-@dataclass(frozen=True)
-class VacuousFlag:
+
+class VacuousFlag(Record):
     """A counterfactual whose accessible set came up empty at ``world``."""
 
     world: World
     counterfactual: Counterfactual
 
+    def __init__(self, world: World, counterfactual: Counterfactual) -> None:
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "counterfactual", counterfactual)
+
     def describe(self) -> str:
         return f"{pretty_print(self.counterfactual)} at {self.world}"
 
 
-@dataclass(frozen=True)
-class TruthReport:
+class TruthReport(Record):
     """Outcome of checking one formula against a whole model.
 
     ``witnesses`` lists the worlds that falsify the claim, in deterministic
@@ -92,7 +105,23 @@ class TruthReport:
     witnesses: tuple[World, ...]
     locality: LocalityCondition
     frame: FrameOrdering
-    vacuous_flags: tuple[VacuousFlag, ...] = ()
+    vacuous_flags: tuple[VacuousFlag, ...]
+
+    def __init__(
+        self,
+        formula: Formula,
+        holds: bool,
+        witnesses: tuple[World, ...],
+        locality: LocalityCondition,
+        frame: FrameOrdering,
+        vacuous_flags: tuple[VacuousFlag, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "locality", locality)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "vacuous_flags", vacuous_flags)
 
     @property
     def text(self) -> str:

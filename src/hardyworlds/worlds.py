@@ -9,30 +9,64 @@ reporting but plays no role in equality, so all logic downstream is modal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import DomainError, InconsistentModelError
 from .labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
 from .quantum import JointProbabilityTable
+from .records import Record
 
 EPSILON_DEFAULT = 1e-9
 EPSILON_MAX = 0.1
 
 
-@dataclass(frozen=True)
-class World:
+class World(Record):
+    """One setting/outcome combination; ``probability`` is not part of its
+    identity, so equality and hashing use the four coordinates alone."""
+
     left_setting: Setting
     right_setting: Setting
     left_outcome: Outcome
     right_outcome: Outcome
-    probability: float = field(compare=False)
+    probability: float
 
-    def __post_init__(self) -> None:
-        if self.left_setting.region is not Region.LEFT:
-            raise ValueError(f"{self.left_setting} is not a left setting")
-        if self.right_setting.region is not Region.RIGHT:
-            raise ValueError(f"{self.right_setting} is not a right setting")
+    def __init__(
+        self,
+        left_setting: Setting,
+        right_setting: Setting,
+        left_outcome: Outcome,
+        right_outcome: Outcome,
+        probability: float,
+    ) -> None:
+        if left_setting.region is not Region.LEFT:
+            raise ValueError(f"{left_setting} is not a left setting")
+        if right_setting.region is not Region.RIGHT:
+            raise ValueError(f"{right_setting} is not a right setting")
+        object.__setattr__(self, "left_setting", left_setting)
+        object.__setattr__(self, "right_setting", right_setting)
+        object.__setattr__(self, "left_outcome", left_outcome)
+        object.__setattr__(self, "right_outcome", right_outcome)
+        object.__setattr__(self, "probability", probability)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.left_setting,
+                self.right_setting,
+                self.left_outcome,
+                self.right_outcome,
+            ) == (
+                other.left_setting,
+                other.right_setting,
+                other.left_outcome,
+                other.right_outcome,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.left_setting, self.right_setting, self.left_outcome, self.right_outcome)
+        )
 
     def setting_in(self, region: Region) -> Setting:
         return self.left_setting if region is Region.LEFT else self.right_setting
@@ -59,14 +93,25 @@ class World:
         return f"({self.left_setting},{self.right_setting},{self.left_outcome},{self.right_outcome})"
 
 
-@dataclass(frozen=True)
-class WorldModel:
+class WorldModel(Record):
     """The possible worlds of a table, with the frame used to order regions."""
 
     worlds: frozenset[World]
     table: JointProbabilityTable
     epsilon: float
     frame: FrameOrdering
+
+    def __init__(
+        self,
+        worlds: frozenset[World],
+        table: JointProbabilityTable,
+        epsilon: float,
+        frame: FrameOrdering,
+    ) -> None:
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "frame", frame)
 
     def sorted_worlds(self) -> list[World]:
         return sorted(self.worlds, key=lambda w: w.sort_key)

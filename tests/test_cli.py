@@ -1,14 +1,21 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hardyworlds.cli import format_probability, main
-from hardyworlds.modelio import save_model
-from hardyworlds.quantum import canonical_hardy_model
+from hardyworlds.modelio import dump_model, save_model
+from hardyworlds.quantum import (
+    canonical_hardy_model,
+    hardy_family,
+    hardy_scan,
+    probability_table,
+)
 
 CANONICAL_FIRST_LINE = "L1 R1 + + p=0.166666667 (=1/6)"
 
@@ -31,6 +38,60 @@ class TestFormatProbability:
     def test_no_nearby_fraction(self):
         value = (5.0 * 5.0 ** 0.5 - 11.0) / 2.0
         assert format_probability(value) == "0.090169944"
+
+
+def format_with_fraction(value):
+    """The rendering of earlier releases, built on Fraction.limit_denominator."""
+    text = f"{value:.9f}"
+    nearest = Fraction(value).limit_denominator(100)
+    if abs(float(nearest) - value) <= 1e-9:
+        if nearest.denominator == 1:
+            return f"{text} (={nearest.numerator})"
+        return f"{text} (={nearest.numerator}/{nearest.denominator})"
+    return text
+
+
+class TestFormatProbabilityMatchesFraction:
+    def assert_matches(self, values):
+        mismatches = [
+            (v, format_probability(v), format_with_fraction(v))
+            for v in values
+            if format_probability(v) != format_with_fraction(v)
+        ]
+        assert mismatches == []
+
+    def test_every_small_fraction(self):
+        self.assert_matches(
+            [p / q for q in range(1, 101) for p in range(-q, 2 * q + 1)]
+        )
+
+    def test_near_the_tolerance_edge(self):
+        # p/q shifted by 0.1e-9 .. 1.5e-9, on both sides of the 1e-9 limit
+        self.assert_matches(
+            [
+                p / q + k * 1e-10
+                for q in range(1, 101)
+                for p in range(q + 1)
+                for k in (-15, -11, -10, -9, 9, 10, 11, 15)
+            ]
+        )
+
+    def test_random_floats(self):
+        rng = random.Random(20261018)
+        self.assert_matches(
+            [rng.random() for _ in range(20000)]
+            + [rng.uniform(-3.0, 3.0) for _ in range(2000)]
+            + [rng.random() * 10.0 ** rng.randint(-12, 0) for _ in range(2000)]
+        )
+
+    def test_table_cells(self):
+        values = list(probability_table(*canonical_hardy_model()).entries.values())
+        for j in range(1, 100):
+            values.extend(probability_table(*hardy_family(j / 200)).entries.values())
+        self.assert_matches(values)
+
+    def test_scan_maximum(self):
+        self.assert_matches([hardy_scan(steps)[1] for steps in (10, 50, 1000)])
 
 
 class TestModelShow:
@@ -304,6 +365,16 @@ class TestModelSources:
         code, _, err = run_cli(capsys, "model", "show", "--file", str(path))
         assert code == 3
 
+    def test_boolean_amplitude_file(self, capsys, tmp_path):
+        document = dump_model(*canonical_hardy_model())
+        document["amplitudes"] = [[True, False], [0, 0], [0, 0], [0, 0]]
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "model", "show", "--file", str(path))
+        assert code == 3
+        assert out == ""
+        assert "[re, im] pair" in err
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "model", "show", "--epsilon", "0.5")
         assert code == 2
@@ -396,13 +467,15 @@ class TestEntryPoints:
         assert proc.returncode == 2
 
     def test_cli_import_loads_no_numeric_libraries(self):
+        # nor the slow-to-import stdlib modules the CLI does not need
         src = Path(__file__).resolve().parent.parent / "src"
+        unwanted = {"numpy", "scipy", "dataclasses", "inspect", "fractions"}
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 "import hardyworlds.cli, sys; "
-                "print(sorted({'numpy', 'scipy'} & set(sys.modules)))",
+                f"print(sorted({unwanted!r} & set(sys.modules)))",
             ],
             capture_output=True,
             text=True,

@@ -106,6 +106,23 @@ class TestParseModel:
         with pytest.raises(InvalidModelError):
             parse_model(payload)
 
+    def test_boolean_amplitude_rejected(self, canonical_pair):
+        # [true, false] once loaded as the amplitude 1+0j
+        payload = dump_model(*canonical_pair)
+        payload["amplitudes"] = [[True, False], [0, 0], [0, 0], [0, 0]]
+        with pytest.raises(InvalidModelError, match="amplitude 0 must be"):
+            parse_model(payload)
+
+    def test_boolean_basis_entry_rejected(self, canonical_pair):
+        # the computational basis of left setting 2, spelled with booleans
+        payload = dump_model(*canonical_pair)
+        payload["left"]["basis2"] = [
+            [[False, False], [True, False]],
+            [[True, False], [False, False]],
+        ]
+        with pytest.raises(InvalidModelError, match="left.basis2 plus row"):
+            parse_model(payload)
+
     def test_unnormalized_state_rejected(self, canonical_pair):
         payload = dump_model(*canonical_pair)
         payload["amplitudes"] = [[1.0, 0.0]] * 4
