@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: model show, check, suite, flow, frames, lhv, hardy-scan.
-Exit codes: 0 success, 1 failed expectation or strict false check, 2 usage
-or formula parse error, 3 invalid or inconsistent model.
+Exit codes: 0 success, 1 failed expectation or strict false check, 2 usage,
+formula parse or formula depth error, 3 invalid or inconsistent model.
+Each subcommand builds one JSON payload and reads its text and checks from it.
 """
 
 from __future__ import annotations
@@ -11,26 +12,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import analysis, modelio
-from .errors import (
-    DomainError,
-    FormulaError,
-    InconsistentModelError,
-    InvalidModelError,
-)
+from .errors import DomainError, FormulaError, InconsistentModelError, InvalidModelError
 from .formulas import parse, pretty_print
 from .labels import FrameOrdering
 from .quantum import (
-    BipartiteState,
-    ExperimentConfig,
+    JointProbabilityTable,
     canonical_hardy_model,
     hardy_family,
     hardy_scan,
     probability_table,
 )
-from .records import Record
 from .semantics import LocalityCondition, TruthReport, eval_model
 from .worlds import EPSILON_DEFAULT, EPSILON_MAX, World, WorldModel, enumerate_worlds
 
@@ -42,34 +36,7 @@ LOCALITIES = {
     "loc1": LocalityCondition.LOC1,
     "lightcone": LocalityCondition.LIGHT_CONE,
 }
-
-
-class RunConfig(Record):
-    model_source: str
-    epsilon: float
-    frame: FrameOrdering
-    locality: LocalityCondition
-    output_format: str
-    strict: bool
-    expect_path: str | None
-
-    def __init__(
-        self,
-        model_source: str,
-        epsilon: float,
-        frame: FrameOrdering,
-        locality: LocalityCondition,
-        output_format: str,
-        strict: bool,
-        expect_path: str | None,
-    ) -> None:
-        object.__setattr__(self, "model_source", model_source)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "locality", locality)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "expect_path", expect_path)
+Payload = dict[str, Any]
 
 
 def format_probability(value: float) -> str:
@@ -171,9 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     model_cmd = commands.add_parser("model", help="inspect the chosen model")
     model_actions = model_cmd.add_subparsers(dest="action", required=True)
-    model_actions.add_parser(
-        "show", parents=[common], help="list the possible worlds"
-    )
+    model_actions.add_parser("show", parents=[common], help="list the possible worlds")
 
     check_cmd = commands.add_parser(
         "check", parents=[common], help="evaluate one formula"
@@ -199,51 +164,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    source = args.model
-    if args.family is not None:
-        source = f"family:{args.family!r}"
-    elif args.file is not None:
-        source = f"file:{args.file}"
-    return RunConfig(
-        model_source=source,
-        epsilon=args.epsilon,
-        frame=FRAMES[args.frame],
-        locality=LOCALITIES[args.locality],
-        output_format=args.output_format,
-        strict=args.strict,
-        expect_path=args.expect,
-    )
 
 
 class UsageError(Exception):
     pass
 
 
-def resolve_model(source: str) -> tuple[BipartiteState, ExperimentConfig]:
+def _table(args: argparse.Namespace) -> JointProbabilityTable:
+    """The probability table of the model named by --model, --family or --file."""
+    source = args.model
+    if args.family is not None:
+        source = f"family:{args.family!r}"
+    elif args.file is not None:
+        source = f"file:{args.file}"
     if source == "canonical":
-        return canonical_hardy_model()
-    if source.startswith("family:"):
+        state, experiment = canonical_hardy_model()
+    elif source.startswith("family:"):
         text = source[len("family:"):]
         try:
             x = float(text)
         except ValueError:
             raise UsageError(f"not a family parameter: {text!r}") from None
-        return hardy_family(x)
-    if source.startswith("file:"):
-        return modelio.load_model(source[len("file:"):])
-    raise UsageError(
-        f"unknown model source {source!r}; use canonical, family:<x>, or file:<path>"
-    )
+        state, experiment = hardy_family(x)
+    elif source.startswith("file:"):
+        state, experiment = modelio.load_model(source[len("file:"):])
+    else:
+        raise UsageError(
+            f"unknown model source {source!r}; use canonical, family:<x>, or file:<path>"
+        )
+    return probability_table(state, experiment)
 
 
-def build_world_model(config: RunConfig) -> WorldModel:
-    state, experiment = resolve_model(config.model_source)
-    table = probability_table(state, experiment)
-    return enumerate_worlds(table, config.epsilon, config.frame)
+def _world_model(args: argparse.Namespace) -> WorldModel:
+    return enumerate_worlds(_table(args), args.epsilon, FRAMES[args.frame])
 
 
-def _world_json(world: World) -> dict[str, Any]:
+def _truth(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _world_json(world: World) -> Payload:
     return {
         "left_setting": world.left_setting.name,
         "right_setting": world.right_setting.name,
@@ -253,11 +213,19 @@ def _world_json(world: World) -> dict[str, Any]:
     }
 
 
-def _world_line(world: World) -> str:
-    return f"{world.label()} p={format_probability(world.probability)}"
+def _label(world: Payload, separator: str = " ") -> str:
+    """Settings and outcomes, joined as World.label (" ") or str(World) (",")."""
+    return separator.join(
+        world[key]
+        for key in ("left_setting", "right_setting", "left_outcome", "right_outcome")
+    )
 
 
-def _report_json(report: TruthReport) -> dict[str, Any]:
+def _world_line(world: Payload) -> str:
+    return f"{_label(world)} p={format_probability(world['probability'])}"
+
+
+def _report_json(report: TruthReport) -> Payload:
     return {
         "formula": pretty_print(report.formula),
         "holds": report.holds,
@@ -274,17 +242,15 @@ def _report_json(report: TruthReport) -> dict[str, Any]:
     }
 
 
-def _report_lines(name: str, report: TruthReport) -> list[str]:
-    holds = "true" if report.holds else "false"
-    lines = [f"{name}: holds={holds}  {pretty_print(report.formula)}"]
-    for witness in report.witnesses:
-        lines.append(f"  witness: {_world_line(witness)}")
-    for flag in report.vacuous_flags:
-        lines.append(f"  vacuous: {flag.describe()}")
-    return lines
+def _evidence_lines(report: Payload, indent: str) -> list[str]:
+    """The witness and vacuous lines of a truth report's payload."""
+    return [f"{indent}witness: {_world_line(w)}" for w in report["witnesses"]] + [
+        f"{indent}vacuous: {flag['counterfactual']} at ({_label(flag['world'], ',')})"
+        for flag in report["vacuous_flags"]
+    ]
 
 
-def _suite_json(suite: analysis.SuiteReport) -> dict[str, Any]:
+def _suite_json(suite: analysis.SuiteReport) -> Payload:
     return {
         "locality": suite.locality.value,
         "frame": suite.frame.value,
@@ -294,55 +260,55 @@ def _suite_json(suite: analysis.SuiteReport) -> dict[str, Any]:
     }
 
 
-Handler = Callable[[argparse.Namespace, RunConfig], tuple[Any, str, Mapping[str, bool]]]
+def _strategy_json(strategy: analysis.DeterministicStrategy) -> dict[str, str]:
+    return {
+        setting.name: outcome.value
+        for setting, outcome in (strategy.left_map | strategy.right_map).items()
+    }
 
 
-def _handle_model_show(args, config):
-    model = build_world_model(config)
-    worlds = model.sorted_worlds()
+# A command's payload, then its text lines and its checks, both read from the payload
+Result = tuple[Payload, list[str], dict[str, bool]]
+
+
+def _model_show(args: argparse.Namespace) -> Result:
+    model = _world_model(args)
     payload = {
         "epsilon": model.epsilon,
         "frame": model.frame.value,
-        "worlds": [_world_json(w) for w in worlds],
+        "worlds": [_world_json(w) for w in model.sorted_worlds()],
     }
-    text = "\n".join(_world_line(w) for w in worlds)
-    return payload, text, {}
+    return payload, [_world_line(w) for w in payload["worlds"]], {}
 
 
-def _handle_check(args, config):
+def _check(args: argparse.Namespace) -> Result:
     formula = parse(args.formula)
-    model = build_world_model(config)
-    report = eval_model(model, formula, config.locality)
+    report = eval_model(_world_model(args), formula, LOCALITIES[args.locality])
     payload = _report_json(report)
-    holds = "true" if report.holds else "false"
     lines = [
-        f"formula: {pretty_print(report.formula)}",
-        f"locality: {report.locality.value}",
-        f"frame: {report.frame.value}",
-        f"holds: {holds}",
+        f"formula: {payload['formula']}",
+        f"locality: {payload['locality']}",
+        f"frame: {payload['frame']}",
+        f"holds: {_truth(payload['holds'])}",
+        *_evidence_lines(payload, ""),
     ]
-    for witness in report.witnesses:
-        lines.append(f"witness: {_world_line(witness)}")
-    for flag in report.vacuous_flags:
-        lines.append(f"vacuous: {flag.describe()}")
-    return payload, "\n".join(lines), {"holds": report.holds}
+    return payload, lines, {"holds": payload["holds"]}
 
 
-def _handle_suite(args, config):
-    model = build_world_model(config)
-    suite = analysis.theorem_suite(model, config.locality)
+def _suite(args: argparse.Namespace) -> Result:
+    suite = analysis.theorem_suite(_world_model(args), LOCALITIES[args.locality])
     payload = _suite_json(suite)
     lines: list[str] = []
-    for name, report in suite.statements.items():
-        lines.extend(_report_lines(name, report))
-    lines.append(f"locality: {suite.locality.value}")
-    lines.append(f"frame: {suite.frame.value}")
-    return payload, "\n".join(lines), suite.truth_values()
+    for name, report in payload["statements"].items():
+        lines.append(f"{name}: holds={_truth(report['holds'])}  {report['formula']}")
+        lines.extend(_evidence_lines(report, "  "))
+    lines += [f"locality: {payload['locality']}", f"frame: {payload['frame']}"]
+    checks = {name: report["holds"] for name, report in payload["statements"].items()}
+    return payload, lines, checks
 
 
-def _handle_flow(args, config):
-    model = build_world_model(config)
-    flow = analysis.information_flow(model, config.locality)
+def _flow(args: argparse.Namespace) -> Result:
+    flow = analysis.information_flow(_world_model(args), LOCALITIES[args.locality])
     payload = {
         "f_of_L2": flow.f_of_L2,
         "f_of_L1": flow.f_of_L1,
@@ -353,114 +319,99 @@ def _handle_flow(args, config):
         },
         "interpretation": list(flow.interpretation),
     }
-    as_text = lambda value: "true" if value else "false"
     lines = [
-        f"f(L2): {as_text(flow.f_of_L2)}",
-        f"f(L1): {as_text(flow.f_of_L1)}",
-        f"dependent: {as_text(flow.dependent)}",
+        f"f(L2): {_truth(payload['f_of_L2'])}",
+        f"f(L1): {_truth(payload['f_of_L1'])}",
+        f"dependent: {_truth(payload['dependent'])}",
     ]
-    if flow.witness is not None:
-        lines.append(f"witness: {_world_line(flow.witness)}")
-    for note in flow.interpretation:
-        lines.append(f"note: {note}")
-    checks = {
-        "f_of_L2": flow.f_of_L2,
-        "f_of_L1": flow.f_of_L1,
-        "dependent": flow.dependent,
-    }
-    return payload, "\n".join(lines), checks
+    if payload["witness"] is not None:
+        lines.append(f"witness: {_world_line(payload['witness'])}")
+    lines.extend(f"note: {note}" for note in payload["interpretation"])
+    checks = {key: payload[key] for key in ("f_of_L2", "f_of_L1", "dependent")}
+    return payload, lines, checks
 
 
-def _handle_frames(args, config):
-    state, experiment = resolve_model(config.model_source)
-    table = probability_table(state, experiment)
-    comparison = analysis.frame_comparison(table, config.epsilon)
+def _frames(args: argparse.Namespace) -> Result:
+    comparison = analysis.frame_comparison(_table(args), args.epsilon)
+    div = comparison.divergence
     payload = {
         "suites": {
             key: _suite_json(suite) for key, suite in comparison.suites.items()
         },
-        "divergence": None,
+        "divergence": None if div is None else {
+            "formula": div.text,
+            "world": _world_json(div.world),
+            "results": dict(div.results),
+        },
         "stmt1_frame_dependent": comparison.stmt1_frame_dependent,
     }
     lines: list[str] = []
     checks: dict[str, bool] = {}
-    for key, suite in comparison.suites.items():
+    for key, suite in payload["suites"].items():
         lines.append(f"[{key}]")
-        for name, report in suite.statements.items():
-            holds = "true" if report.holds else "false"
-            lines.append(f"{name}: holds={holds}")
-            checks[f"{key}.{name}"] = report.holds
-    if comparison.divergence is not None:
-        div = comparison.divergence
-        payload["divergence"] = {
-            "formula": div.text,
-            "world": _world_json(div.world),
-            "results": dict(div.results),
-        }
-        lines.append(f"divergence: {div.text} at world {div.world.label()}")
-        for key, value in div.results.items():
-            lines.append(f"  {key}: {'true' if value else 'false'}")
+        for name, report in suite["statements"].items():
+            lines.append(f"{name}: holds={_truth(report['holds'])}")
+            checks[f"{key}.{name}"] = report["holds"]
+    divergence = payload["divergence"]
+    if divergence is not None:
+        world = _label(divergence["world"])
+        lines.append(f"divergence: {divergence['formula']} at world {world}")
+        for key, value in divergence["results"].items():
+            lines.append(f"  {key}: {_truth(value)}")
             checks[f"divergence.{key}"] = value
-    frame_dep = comparison.stmt1_frame_dependent
-    lines.append(
-        f"stmt1 frame-dependent under loc1: {'true' if frame_dep else 'false'}"
-    )
-    checks["stmt1_frame_dependent"] = frame_dep
-    return payload, "\n".join(lines), checks
+    frame_dependent = payload["stmt1_frame_dependent"]
+    lines.append(f"stmt1 frame-dependent under loc1: {_truth(frame_dependent)}")
+    checks["stmt1_frame_dependent"] = frame_dependent
+    return payload, lines, checks
 
 
-def _handle_lhv(args, config):
-    state, experiment = resolve_model(config.model_source)
-    table = probability_table(state, experiment)
-    report = analysis.lhv_feasibility(table, config.epsilon)
+def _lhv(args: argparse.Namespace) -> Result:
+    report = analysis.lhv_feasibility(_table(args), args.epsilon)
     payload = {
         "feasible": report.feasible,
         "excluded_strategies": [
-            {
-                "strategy": {
-                    setting.name: outcome.value
-                    for setting, outcome in (
-                        strategy.left_map | strategy.right_map
-                    ).items()
-                },
-                "excluded_by": label,
-            }
+            {"strategy": _strategy_json(strategy), "excluded_by": label}
             for strategy, label in report.excluded_strategies
         ],
         "surviving_strategies": [
-            {
-                setting.name: outcome.value
-                for setting, outcome in (
-                    strategy.left_map | strategy.right_map
-                ).items()
-            }
-            for strategy in report.surviving_strategies
+            _strategy_json(strategy) for strategy in report.surviving_strategies
         ],
         "contradiction_trace": report.contradiction_trace,
     }
     lines = [
-        f"feasible: {'true' if report.feasible else 'false'}",
-        f"excluded strategies: {len(report.excluded_strategies)} of 16",
-        report.contradiction_trace,
+        f"feasible: {_truth(payload['feasible'])}",
+        f"excluded strategies: {len(payload['excluded_strategies'])} of 16",
+        payload["contradiction_trace"],
     ]
-    return payload, "\n".join(lines), {"feasible": report.feasible}
+    return payload, lines, {"feasible": payload["feasible"]}
 
 
-def _handle_hardy_scan(args, config):
+def _hardy_scan(args: argparse.Namespace) -> Result:
     x_best, p_best = hardy_scan(args.steps)
     payload = {"steps": args.steps, "x_best": x_best, "p_best": p_best}
     lines = [
-        f"steps: {args.steps}",
-        f"x_best: {x_best:.9f}",
-        f"p_best: {format_probability(p_best)}",
+        f"steps: {payload['steps']}",
+        f"x_best: {payload['x_best']:.9f}",
+        f"p_best: {format_probability(payload['p_best'])}",
     ]
-    return payload, "\n".join(lines), {}
+    return payload, lines, {}
+
+
+COMMANDS = {
+    "model": _model_show,
+    "check": _check,
+    "suite": _suite,
+    "flow": _flow,
+    "frames": _frames,
+    "lhv": _lhv,
+    "hardy-scan": _hardy_scan,
+}
 
 
 def read_expectations(path: str) -> dict[str, bool]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read expectation file {path}: {exc}") from exc
     expectations: dict[str, bool] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -485,50 +436,33 @@ def apply_expectations(
             print(f"expect: {name}: no such check", file=sys.stderr)
             failures += 1
         elif checks[name] is not expected:
-            actual = "true" if checks[name] else "false"
-            wanted = "true" if expected else "false"
+            wanted, actual = _truth(expected), _truth(checks[name])
             print(f"expect: {name}: wanted {wanted}, got {actual}", file=sys.stderr)
             failures += 1
     return 1 if failures else 0
 
 
-_HANDLERS: dict[str, Handler] = {
-    "model": _handle_model_show,
-    "check": _handle_check,
-    "suite": _handle_suite,
-    "flow": _handle_flow,
-    "frames": _handle_frames,
-    "lhv": _handle_lhv,
-    "hardy-scan": _handle_hardy_scan,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _run_config(args)
-    expectations: dict[str, bool] = {}
     try:
-        if config.expect_path is not None:
-            expectations = read_expectations(config.expect_path)
-        payload, text, checks = _HANDLERS[args.command](args, config)
-    except FormulaError as exc:
+        expectations = {} if args.expect is None else read_expectations(args.expect)
+        payload, lines, checks = COMMANDS[args.command](args)
+    except (FormulaError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # parse and eval_model recurse once per nesting level of the formula
+        print("error: formula is nested too deeply", file=sys.stderr)
         return 2
     except (InvalidModelError, InconsistentModelError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if config.output_format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    as_json = args.output_format == "json"
+    print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
     exit_code = apply_expectations(expectations, checks)
-    if config.strict and checks.get("holds") is False:
+    if args.strict and checks.get("holds") is False:
         exit_code = 1
     return exit_code

@@ -38,7 +38,10 @@ def _as_complex(entry: Any, what: str) -> complex:
         )
     ):
         raise InvalidModelError(f"{what} must be an [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise InvalidModelError(f"{what} is too large for a float") from None
 
 
 def _as_vector(entry: Any, what: str) -> tuple[complex, complex]:
@@ -101,11 +104,13 @@ def load_model(path: str | Path) -> tuple[BipartiteState, ExperimentConfig]:
     """Read a model file from ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidModelError(f"cannot read model file {path}: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past int's digit limit, or nesting past
+        # the recursion limit
         raise InvalidModelError(f"model file {path} is not valid JSON: {exc}") from exc
     return parse_model(document)
 
@@ -116,23 +121,14 @@ def _pair(value: complex) -> list[float]:
 
 def dump_model(state: BipartiteState, config: ExperimentConfig) -> dict[str, Any]:
     """Encode a state and configuration as a nested model document."""
-    return {
-        "amplitudes": [_pair(a) for a in state.amplitudes],
-        "left": {
-            key: [
-                [_pair(v) for v in config.left[index + 1].plus],
-                [_pair(v) for v in config.left[index + 1].minus],
-            ]
-            for index, key in enumerate(_BASIS_KEYS)
-        },
-        "right": {
-            key: [
-                [_pair(v) for v in config.right[index + 1].plus],
-                [_pair(v) for v in config.right[index + 1].minus],
-            ]
-            for index, key in enumerate(_BASIS_KEYS)
-        },
+    sides = {
+        side: {
+            key: [[_pair(v) for v in row] for row in (basis.plus, basis.minus)]
+            for key, basis in zip(_BASIS_KEYS, (bases[1], bases[2]))
+        }
+        for side, bases in zip(_SIDES, (config.left, config.right))
     }
+    return {"amplitudes": [_pair(a) for a in state.amplitudes], **sides}
 
 
 def save_model(

@@ -448,6 +448,222 @@ class TestExpectations:
         assert run_cli(capsys, "lhv", "--expect", str(lhv_path))[0] == 0
 
 
+class TestBadInputFiles:
+    def test_model_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        text = json.dumps(dump_model(*canonical_hardy_model()))
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        code, out, err = run_cli(capsys, "model", "show", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read model file {path}: ")
+
+    def test_expect_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "expect.txt"
+        path.write_bytes(b"\xff\xfestmt1=true\n")
+        code, out, err = run_cli(capsys, "suite", "--expect", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read expectation file {path}: ")
+
+    def test_amplitude_too_large_for_a_float(self, capsys, tmp_path):
+        document = dump_model(*canonical_hardy_model())
+        document["amplitudes"][0] = [10**400, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "model", "show", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: amplitude 0 is too large for a float\n"
+
+    def test_model_file_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "model", "show", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: model file {path} is not valid JSON: ")
+
+
+class TestFormulaDepth:
+    @pytest.mark.parametrize(
+        "formula",
+        ["(" * 200 + "L1" + ")" * 200, "L1 []-> " * 300 + "L1+"],
+        ids=["parentheses", "counterfactuals"],
+    )
+    def test_too_deep_formula_exits_two(self, capsys, formula):
+        code, out, err = run_cli(capsys, "check", formula)
+        assert (code, out, err) == (2, "", "error: formula is nested too deeply\n")
+
+
+# The complete text output of each subcommand on the canonical model, and of
+# a check whose report carries a vacuous counterfactual.
+PINNED_TEXT = {
+    ("model", "show"): (
+        "L1 R1 + + p=0.166666667 (=1/6)\n"
+        "L1 R1 - + p=0.166666667 (=1/6)\n"
+        "L1 R1 - - p=0.666666667 (=2/3)\n"
+        "L1 R2 + + p=0.083333333 (=1/12)\n"
+        "L1 R2 + - p=0.083333333 (=1/12)\n"
+        "L1 R2 - + p=0.083333333 (=1/12)\n"
+        "L1 R2 - - p=0.750000000 (=3/4)\n"
+        "L2 R1 + - p=0.333333333 (=1/3)\n"
+        "L2 R1 - + p=0.333333333 (=1/3)\n"
+        "L2 R1 - - p=0.333333333 (=1/3)\n"
+        "L2 R2 + + p=0.166666667 (=1/6)\n"
+        "L2 R2 + - p=0.166666667 (=1/6)\n"
+        "L2 R2 - - p=0.666666667 (=2/3)\n"
+    ),
+    ("suite",): (
+        "stmt1: holds=true  (L2 => ((R2 & R2+) -> (R1 []-> R1-)))\n"
+        "stmt2: holds=false  (L1 => ((R2 & R2+) -> (R1 []-> R1-)))\n"
+        "  witness: L1 R2 + + p=0.083333333 (=1/12)\n"
+        "  witness: L1 R2 - + p=0.083333333 (=1/12)\n"
+        "stmt3: holds=true  ((L2 & (R2 & L2+)) => (R1 []-> L2+))\n"
+        "locality: loc1\n"
+        "frame: l-first\n"
+    ),
+    ("flow",): (
+        "f(L2): true\n"
+        "f(L1): false\n"
+        "dependent: true\n"
+        "witness: L1 R2 + + p=0.083333333 (=1/12)\n"
+        "note: Dependence reading: the same right-region statement changes "
+        "truth value with the left choice alone, so any mechanism realizing "
+        "these truth conditions must make the left choice available where the "
+        "right outcome is settled.\n"
+        "note: Reference reading: the statement's counterfactual ranges over "
+        "worlds that agree with the actual one outside the changed choice, so "
+        "the dependence may only reflect that definitional tie to the far "
+        "region, not a physical transfer.\n"
+    ),
+    ("frames",): (
+        "[loc1-l-first]\n"
+        "stmt1: holds=true\n"
+        "stmt2: holds=false\n"
+        "stmt3: holds=true\n"
+        "[loc1-r-first]\n"
+        "stmt1: holds=false\n"
+        "stmt2: holds=false\n"
+        "stmt3: holds=false\n"
+        "[lightcone]\n"
+        "stmt1: holds=true\n"
+        "stmt2: holds=false\n"
+        "stmt3: holds=true\n"
+        "divergence: (L1 []-> R1-) at world L2 R1 + -\n"
+        "  loc1-l-first: false\n"
+        "  lightcone: true\n"
+        "stmt1 frame-dependent under loc1: true\n"
+    ),
+    ("lhv",): (
+        "feasible: false\n"
+        "excluded strategies: 11 of 16\n"
+        "table demands P(L1+,R2+ | L1,R2) > 0 (= 0.083333333), but every "
+        "deterministic strategy producing that pair is excluded:\n"
+        "  L1->+ L2->+ R1->+ R2->+ excluded by h2: P(L2+,R1+ | L2,R1) = 0\n"
+        "  L1->+ L2->+ R1->- R2->+ excluded by h3: P(L1+,R1- | L1,R1) = 0\n"
+        "  L1->+ L2->- R1->+ R2->+ excluded by h1: P(L2-,R2+ | L2,R2) = 0\n"
+        "  L1->+ L2->- R1->- R2->+ excluded by h3: P(L1+,R1- | L1,R1) = 0\n"
+        "no mixture of surviving strategies can give this pair positive "
+        "probability, so no local deterministic account exists\n"
+    ),
+    ("hardy-scan", "--steps", "50"): (
+        "steps: 50\n"
+        "x_best: 0.381966011\n"
+        "p_best: 0.090169944\n"
+    ),
+    ("check", "L1 => ((R2 & R2+) -> (R1 []-> R1-))"): (
+        "formula: (L1 => ((R2 & R2+) -> (R1 []-> R1-)))\n"
+        "locality: loc1\n"
+        "frame: l-first\n"
+        "holds: false\n"
+        "witness: L1 R2 + + p=0.083333333 (=1/12)\n"
+        "witness: L1 R2 - + p=0.083333333 (=1/12)\n"
+    ),
+    ("check", "--family", "0.01", "--epsilon", "0.01", "R2 []-> R2+"): (
+        "formula: (R2 []-> R2+)\n"
+        "locality: loc1\n"
+        "frame: l-first\n"
+        "holds: false\n"
+        "witness: L1 R1 - - p=0.990000000 (=99/100)\n"
+        "witness: L1 R2 - - p=0.999897970\n"
+        "witness: L2 R1 + - p=0.010000000 (=1/100)\n"
+        "witness: L2 R1 - + p=0.010000000 (=1/100)\n"
+        "witness: L2 R1 - - p=0.980000000 (=49/50)\n"
+        "witness: L2 R2 - - p=0.990000000 (=99/100)\n"
+        "vacuous: (R2 []-> R2+) at (L2,R1,+,-)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_TEXT, ids=" ".join)
+def test_complete_text_output(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, PINNED_TEXT[argv], "")
+
+
+def checks_from_json(command, payload):
+    """Every documented --expect check of a subcommand, valued by the
+    matching boolean of its JSON payload."""
+    if command == "check":
+        return {"holds": payload["holds"]}
+    if command == "suite":
+        return {name: r["holds"] for name, r in payload["statements"].items()}
+    if command == "flow":
+        return {key: payload[key] for key in ("f_of_L2", "f_of_L1", "dependent")}
+    if command == "frames":
+        checks = {
+            f"{key}.{name}": report["holds"]
+            for key, suite in payload["suites"].items()
+            for name, report in suite["statements"].items()
+        }
+        if payload["divergence"] is not None:
+            for key, value in payload["divergence"]["results"].items():
+                checks[f"divergence.{key}"] = value
+        checks["stmt1_frame_dependent"] = payload["stmt1_frame_dependent"]
+        return checks
+    assert command == "lhv"
+    return {"feasible": payload["feasible"]}
+
+
+def truth(value):
+    return "true" if value else "false"
+
+
+EXPECT_COMMANDS = [
+    ("check", "L1 => ((R2 & R2+) -> (R1 []-> R1-))"),
+    ("check", "R2 []-> R2+"),
+    ("suite",),
+    ("flow",),
+    ("frames",),
+    ("lhv",),
+]
+EXPECT_MODELS = {
+    "canonical": (),
+    "family-0.2": ("--family", "0.2"),
+    "family-0.01": ("--family", "0.01", "--epsilon", "0.01"),
+}
+
+
+@pytest.mark.parametrize("model", EXPECT_MODELS.values(), ids=EXPECT_MODELS)
+@pytest.mark.parametrize("command", EXPECT_COMMANDS, ids=" ".join)
+def test_expect_agrees_with_json(capsys, tmp_path, command, model):
+    path = tmp_path / "expect.txt"
+    for frame in ("l-first", "r-first"):
+        for locality in ("loc1", "lightcone"):
+            argv = (*command, *model, "--frame", frame, "--locality", locality)
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            checks = checks_from_json(command[0], json.loads(out))
+            path.write_text("".join(f"{k}={truth(v)}\n" for k, v in checks.items()))
+            assert run_cli(capsys, *argv, "--expect", str(path))[::2] == (0, "")
+            for name, value in checks.items():
+                flipped = {**checks, name: not value}
+                path.write_text(
+                    "".join(f"{k}={truth(v)}\n" for k, v in flipped.items())
+                )
+                code, _, err = run_cli(capsys, *argv, "--expect", str(path))
+                assert code == 1
+                assert err == (
+                    f"expect: {name}: wanted {truth(not value)}, got {truth(value)}\n"
+                )
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

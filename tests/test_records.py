@@ -16,7 +16,6 @@ from hardyworlds.analysis import (
     FormulaCatalog,
     SuiteReport,
 )
-from hardyworlds.cli import RunConfig
 from hardyworlds.formulas import (
     And,
     Counterfactual,
@@ -142,15 +141,6 @@ SAMPLES = {
         "probability": 0.25,
     },
     WorldModel: {"worlds": MODEL.worlds, "table": TABLE, "epsilon": 1e-9, "frame": L_FIRST},
-    RunConfig: {
-        "model_source": "canonical",
-        "epsilon": 1e-9,
-        "frame": L_FIRST,
-        "locality": LOC1,
-        "output_format": "text",
-        "strict": False,
-        "expect_path": None,
-    },
 }
 RECORDS = list(SAMPLES)
 
@@ -178,7 +168,7 @@ def build(cls):
 
 
 def test_every_record_class_is_sampled():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 26
     assert set(Record.__subclasses__()) == set(RECORDS)
 
 
