@@ -311,13 +311,13 @@ class DeterministicStrategy(Record):
 
 
 class FeasibilityReport(Record):
-    """Whether any mixture of local deterministic strategies fits the table.
+    """The possibilistic verdict of the 16 local deterministic strategies.
 
     A strategy is excluded as soon as it would give positive weight to an
-    outcome pair the table forbids.  The table is locally explainable only
-    if every outcome pair it demands remains covered by some surviving
-    strategy; ``contradiction_trace`` spells out the first demanded pair
-    that no surviving strategy can produce.
+    outcome pair the table forbids.  ``feasible`` says that every demanded
+    pair is produced by a surviving strategy.  That checks supports only,
+    not whether a mixture reproduces the probabilities, which CHSH can deny.
+    ``contradiction_trace`` names the first demanded pair left uncovered.
     """
 
     feasible: bool
@@ -382,7 +382,7 @@ def lhv_feasibility(
     table: JointProbabilityTable,
     epsilon: float = EPSILON_DEFAULT,
 ) -> FeasibilityReport:
-    """Exhaustive check of the 16 local deterministic strategies."""
+    """Possibilistic check of the 16 local deterministic strategies."""
     strategies, named = _strategy_masks()
     # entries iterate in CELLS order, so cell i is bit i
     zero = sum(1 << i for i, p in enumerate(table.entries.values()) if p <= epsilon)

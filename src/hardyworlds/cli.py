@@ -19,6 +19,7 @@ from .errors import DomainError, FormulaError, InconsistentModelError, InvalidMo
 from .formulas import parse, pretty_print
 from .labels import FrameOrdering
 from .quantum import (
+    SCAN_STEPS_MAX,
     JointProbabilityTable,
     canonical_hardy_model,
     hardy_family,
@@ -73,6 +74,8 @@ def _steps_value(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 10:
         raise argparse.ArgumentTypeError("scan needs at least 10 grid steps")
+    if value > SCAN_STEPS_MAX:
+        raise argparse.ArgumentTypeError(f"scan takes at most {SCAN_STEPS_MAX} steps")
     return value
 
 
@@ -159,7 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         "hardy-scan", parents=[common], help="maximize h4 over the family"
     )
     scan_cmd.add_argument(
-        "--steps", type=_steps_value, default=1000, help="grid steps (default: 1000)"
+        "--steps",
+        type=_steps_value,
+        default=1000,
+        help="grid steps, 10 to 1000000 (default: 1000)",
     )
     return parser
 

@@ -33,16 +33,17 @@ while h4 = P(L1+, R2+ | L1, R2) = (1-2x) x^2 / (1-x)^2 stays strictly
 positive, as does P(L2+, R2+ | L2, R2) = x^2 / (1-x).  These five facts are
 exactly what the possible-world analysis downstream consumes.  The canonical
 model is the member x = 1/3, with amplitudes (1, 1, 1, 0)/sqrt(3) and
-h4 = 1/12.
+h4 = 1/12.  ``hardy_scan`` maximizes h4 over x; it evaluates each member from
+checked float tuples through ``_born``, the Born sum behind every table cell.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from cmath import isfinite
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError, InvalidModelError
 from .labels import (
@@ -58,6 +59,7 @@ from .records import Record
 
 NORMALIZATION_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
+SCAN_STEPS_MAX = 1_000_000
 
 ComplexVector = tuple[complex, complex]
 TableKey = tuple[Setting, Setting, Outcome, Outcome]
@@ -75,13 +77,46 @@ def _as_complex_pair(vector: Sequence[complex], what: str) -> ComplexVector:
     values = tuple(complex(v) for v in vector)
     if len(values) != 2:
         raise InvalidModelError(f"{what} must have exactly 2 components")
-    if not all(cmath.isfinite(v) for v in values):
-        raise InvalidModelError(f"{what} has a non-finite component")
     return values
 
 
-def _norm(vector: Iterable[complex]) -> float:
-    return math.sqrt(sum(abs(v) ** 2 for v in vector))
+def _check_state(amplitudes: tuple[complex, complex, complex, complex]) -> None:
+    """Raise unless the four amplitudes are finite and normalized.  Unrolled,
+    like ``_check_units``: plain floats or complex numbers, summed in order."""
+    a, b, c, d = amplitudes
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise InvalidModelError("state amplitude is not finite")
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise InvalidModelError(
+            f"state is not normalized: |psi| = {norm!r} differs from 1 "
+            f"by more than {NORMALIZATION_TOL}"
+        )
+
+
+def _check_units(u: ComplexVector, v: ComplexVector, u_name: str, v_name: str) -> None:
+    """Raise unless both 2-vectors are finite unit vectors."""
+    (a, b), (c, d) = u, v
+    if not (isfinite(a) and isfinite(b)):
+        raise InvalidModelError(f"{u_name} has a non-finite component")
+    if not (isfinite(c) and isfinite(d)):
+        raise InvalidModelError(f"{v_name} has a non-finite component")
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise InvalidModelError(f"{u_name} is not a unit vector (norm {norm!r})")
+    norm = math.sqrt(abs(c) ** 2 + abs(d) ** 2)
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise InvalidModelError(f"{v_name} is not a unit vector (norm {norm!r})")
+
+
+def _check_basis(plus: ComplexVector, minus: ComplexVector) -> None:
+    """Raise unless ``plus`` and ``minus`` are finite orthonormal 2-vectors."""
+    _check_units(plus, minus, "basis plus vector", "basis minus vector")
+    overlap = abs(plus[0].conjugate() * minus[0] + plus[1].conjugate() * minus[1])
+    if overlap > NORMALIZATION_TOL:
+        raise InvalidModelError(
+            f"basis vectors are not orthogonal (overlap {overlap!r})"
+        )
 
 
 class BipartiteState(Record):
@@ -97,14 +132,7 @@ class BipartiteState(Record):
         values = tuple(complex(v) for v in amplitudes)
         if len(values) != 4:
             raise InvalidModelError("a bipartite state needs exactly 4 amplitudes")
-        if not all(cmath.isfinite(v) for v in values):
-            raise InvalidModelError("state amplitude is not finite")
-        norm = _norm(values)
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise InvalidModelError(
-                f"state is not normalized: |psi| = {norm!r} differs from 1 "
-                f"by more than {NORMALIZATION_TOL}"
-            )
+        _check_state(values)
         object.__setattr__(self, "amplitudes", values)
 
     def amplitude(self, left_bit: int, right_bit: int) -> complex:
@@ -120,17 +148,7 @@ class MeasurementBasis(Record):
     def __init__(self, plus: Sequence[complex], minus: Sequence[complex]) -> None:
         plus = _as_complex_pair(plus, "basis plus vector")
         minus = _as_complex_pair(minus, "basis minus vector")
-        for name, vec in (("plus", plus), ("minus", minus)):
-            norm = _norm(vec)
-            if abs(norm - 1.0) > NORMALIZATION_TOL:
-                raise InvalidModelError(
-                    f"basis {name} vector is not a unit vector (norm {norm!r})"
-                )
-        overlap = abs(plus[0].conjugate() * minus[0] + plus[1].conjugate() * minus[1])
-        if overlap > NORMALIZATION_TOL:
-            raise InvalidModelError(
-                f"basis vectors are not orthogonal (overlap {overlap!r})"
-            )
+        _check_basis(plus, minus)
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
 
@@ -302,12 +320,7 @@ def joint_probability(
     """
     lv = _as_complex_pair(left_vector, "left vector")
     rv = _as_complex_pair(right_vector, "right vector")
-    for name, vec in (("left", lv), ("right", rv)):
-        norm = _norm(vec)
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise InvalidModelError(
-                f"{name} vector is not a unit vector (norm {norm!r})"
-            )
+    _check_units(lv, rv, "left vector", "right vector")
     return _born(state.amplitudes, lv, rv)
 
 
@@ -332,20 +345,17 @@ def probability_table(
     return table
 
 
-def _family_state_and_tilt(x: float) -> tuple[BipartiteState, MeasurementBasis]:
-    """The state of member x and its tilted basis, both validated."""
+def _family_vectors(x: float) -> tuple[tuple[float, ...], ComplexVector, ComplexVector]:
+    """Member x as float tuples: amplitudes, tilted plus and minus, all checked."""
     x = float(x)
     if not 0.0 < x < 0.5:
         raise DomainError(f"family parameter must lie strictly in (0, 1/2), got {x!r}")
-    alpha = math.sqrt(1.0 - 2.0 * x)
-    beta = math.sqrt(x)
-    state = BipartiteState((alpha, beta, beta, 0.0))
-    scale = math.sqrt(1.0 - x)
-    tilted = MeasurementBasis(
-        plus=(beta / scale, -alpha / scale),
-        minus=(alpha / scale, beta / scale),
-    )
-    return state, tilted
+    alpha, beta, scale = math.sqrt(1.0 - 2.0 * x), math.sqrt(x), math.sqrt(1.0 - x)
+    amplitudes = (alpha, beta, beta, 0.0)
+    _check_state(amplitudes)
+    plus, minus = (beta / scale, -alpha / scale), (alpha / scale, beta / scale)
+    _check_basis(plus, minus)
+    return amplitudes, plus, minus
 
 
 def hardy_family(x: float) -> tuple[BipartiteState, ExperimentConfig]:
@@ -354,12 +364,13 @@ def hardy_family(x: float) -> tuple[BipartiteState, ExperimentConfig]:
     The three h-zeros hold exactly by construction and
     h4 = (1-2x) x^2 / (1-x)^2 > 0.
     """
-    state, tilted = _family_state_and_tilt(x)
+    amplitudes, plus, minus = _family_vectors(x)
+    tilted = MeasurementBasis(plus, minus)
     config = ExperimentConfig(
         left={1: tilted, 2: COMPUTATIONAL_BASIS},
         right={1: COMPUTATIONAL_BASIS, 2: tilted},
     )
-    return state, config
+    return BipartiteState(amplitudes), config
 
 
 def canonical_hardy_model() -> tuple[BipartiteState, ExperimentConfig]:
@@ -413,9 +424,9 @@ def verify_hardy_constraints(
 
 def _family_h4(x: float) -> float:
     """h4 = P(L1+, R2+ | L1, R2) of member x: both settings use the tilted
-    basis, so this is the table cell without building the configuration."""
-    state, tilted = _family_state_and_tilt(x)
-    return _born(state.amplitudes, tilted.plus, tilted.plus)
+    basis, so this is the table cell, from the checked float tuples."""
+    amplitudes, plus, _ = _family_vectors(x)
+    return _born(amplitudes, plus, plus)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -446,11 +457,14 @@ def hardy_scan(steps: int = 1000) -> tuple[float, float]:
     refinement around the best grid point.
 
     Returns (x_best, p_best).  ``steps`` is the number of interior grid
-    points and must be at least 10.
+    points, from 10 to 1,000,000.  Each point is evaluated on the checked
+    float tuples of ``_family_vectors``, with no records built.
     """
     steps = int(steps)
     if steps < 10:
         raise DomainError(f"scan needs at least 10 grid steps, got {steps}")
+    if steps > SCAN_STEPS_MAX:
+        raise DomainError(f"scan takes at most {SCAN_STEPS_MAX} steps, got {steps}")
     grid = [0.5 * (j + 1) / (steps + 1) for j in range(steps)]
     values = [_family_h4(x) for x in grid]
     best = max(range(steps), key=values.__getitem__)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -25,7 +26,9 @@ from hardyworlds.labels import FrameOrdering, Outcome, Setting
 from hardyworlds.quantum import (
     CELLS,
     BipartiteState,
+    ExperimentConfig,
     JointProbabilityTable,
+    MeasurementBasis,
     canonical_hardy_model,
     hardy_family,
     probability_table,
@@ -291,6 +294,42 @@ class TestLhvFeasibility:
         assert report.contradiction_trace.startswith(
             "table demands P(L1+,R1+ | L1,R1) > 0 (= 0.166666667)"
         )
+
+    def test_verdict_is_possibilistic_only(self):
+        # (|00> + |11>)/sqrt(2) at the CHSH-optimal angles violates CHSH
+        # maximally, yet every cell is positive, so no strategy is excluded
+        # and the support-only verdict is "feasible"
+        def basis(angle):
+            c, s = math.cos(angle), math.sin(angle)
+            return MeasurementBasis(plus=(c, s), minus=(-s, c))
+
+        root_half = math.sqrt(0.5)
+        state = BipartiteState((root_half, 0.0, 0.0, root_half))
+        config = ExperimentConfig(
+            left={1: basis(0.0), 2: basis(math.pi / 4)},
+            right={1: basis(math.pi / 8), 2: basis(-math.pi / 8)},
+        )
+        table = probability_table(state, config)
+
+        def correlation(ls, rs):
+            p = table.entries
+            plus, minus = Outcome.PLUS, Outcome.MINUS
+            return (
+                p[(ls, rs, plus, plus)] + p[(ls, rs, minus, minus)]
+                - p[(ls, rs, plus, minus)] - p[(ls, rs, minus, plus)]
+            )
+
+        chsh = (
+            correlation(Setting.L1, Setting.R1)
+            + correlation(Setting.L1, Setting.R2)
+            + correlation(Setting.L2, Setting.R1)
+            - correlation(Setting.L2, Setting.R2)
+        )
+        assert chsh == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+        report = lhv_feasibility(table)
+        assert report.feasible is True
+        assert report.excluded_strategies == ()
+        assert len(report.surviving_strategies) == 16
 
 
 def outcomes(strategy):

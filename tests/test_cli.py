@@ -331,6 +331,16 @@ class TestHardyScan:
         code, _, err = run_cli(capsys, "hardy-scan", "--steps", "5")
         assert code == 2
 
+    def test_too_many_steps(self, capsys):
+        # argparse rejects the value before any scan starts; 1000001 comes
+        # first so that a missing bound fails fast
+        for steps in ("1000001", str(10**12)):
+            code, out, err = run_cli(capsys, "hardy-scan", "--steps", steps)
+            assert (code, out) == (2, "")
+            assert err.endswith(
+                "error: argument --steps: scan takes at most 1000000 steps\n"
+            )
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "hardy-scan", "--format", "json")
         payload = json.loads(out)
@@ -567,6 +577,13 @@ PINNED_TEXT = {
         "steps: 50\n"
         "x_best: 0.381966011\n"
         "p_best: 0.090169944\n"
+    ),
+    ("hardy-scan", "--steps", "2000", "--format", "json"): (
+        "{\n"
+        '  "steps": 2000,\n'
+        '  "x_best": 0.38196601422904614,\n'
+        '  "p_best": 0.09016994374947428\n'
+        "}\n"
     ),
     ("check", "L1 => ((R2 & R2+) -> (R1 []-> R1-))"): (
         "formula: (L1 => ((R2 & R2+) -> (R1 []-> R1-)))\n"

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hardyworlds.errors import DomainError, InvalidModelError
 from hardyworlds.labels import OUTCOMES, SETTING_PAIRS, Outcome, Setting
+from hardyworlds import quantum
 from hardyworlds.quantum import (
     CELLS,
     COMPUTATIONAL_BASIS,
@@ -99,6 +101,110 @@ class TestMeasurementBasis:
 
     def test_complex_phases_allowed(self):
         MeasurementBasis(plus=(1 / SQRT2, 1j / SQRT2), minus=(1 / SQRT2, -1j / SQRT2))
+
+
+NAN = float("nan")
+INF = float("inf")
+STATE = BipartiteState((1.0, 0.0, 0.0, 0.0))
+
+# Each fault once, with the exact message it raises.  A norm 2e-12 off 1 is
+# rejected and 5e-13 off is accepted, either side of the 1e-12 tolerance.
+VALIDATION_MESSAGES = {
+    "state length": (
+        lambda: BipartiteState((1.0, 0.0, 0.0)),
+        "a bipartite state needs exactly 4 amplitudes",
+    ),
+    "state nan": (
+        lambda: BipartiteState((1.0, NAN, 0.0, 0.0)),
+        "state amplitude is not finite",
+    ),
+    "state inf": (
+        lambda: BipartiteState((1.0, 0.0, complex(0.0, INF), 0.0)),
+        "state amplitude is not finite",
+    ),
+    "state norm high": (
+        lambda: BipartiteState((1.0 + 2e-12, 0.0, 0.0, 0.0)),
+        "state is not normalized: |psi| = 1.000000000002 differs from 1 "
+        "by more than 1e-12",
+    ),
+    "state norm low": (
+        lambda: BipartiteState((0.0, 0.0, 0.0, 1.0 - 2e-12)),
+        "state is not normalized: |psi| = 0.999999999998 differs from 1 "
+        "by more than 1e-12",
+    ),
+    "basis plus length": (
+        lambda: MeasurementBasis(plus=(1.0,), minus=(0.0, 1.0)),
+        "basis plus vector must have exactly 2 components",
+    ),
+    "basis minus length": (
+        lambda: MeasurementBasis(plus=(1.0, 0.0), minus=(0.0, 1.0, 0.0)),
+        "basis minus vector must have exactly 2 components",
+    ),
+    "basis plus nan": (
+        lambda: MeasurementBasis(plus=(NAN, 0.0), minus=(0.0, 1.0)),
+        "basis plus vector has a non-finite component",
+    ),
+    "basis minus inf": (
+        lambda: MeasurementBasis(plus=(1.0, 0.0), minus=(0.0, complex(0.0, INF))),
+        "basis minus vector has a non-finite component",
+    ),
+    "basis plus norm": (
+        lambda: MeasurementBasis(plus=(1.0 + 2e-12, 0.0), minus=(0.0, 1.0)),
+        "basis plus vector is not a unit vector (norm 1.000000000002)",
+    ),
+    "basis minus norm": (
+        lambda: MeasurementBasis(plus=(1.0, 0.0), minus=(0.0, 1.0 + 2e-12)),
+        "basis minus vector is not a unit vector (norm 1.000000000002)",
+    ),
+    "basis overlap": (
+        lambda: MeasurementBasis(plus=(1.0, 0.0), minus=(2e-12, 1.0)),
+        "basis vectors are not orthogonal (overlap 2e-12)",
+    ),
+    "joint left length": (
+        lambda: joint_probability(STATE, (1.0,), (0.0, 1.0)),
+        "left vector must have exactly 2 components",
+    ),
+    "joint right length": (
+        lambda: joint_probability(STATE, (1.0, 0.0), (0.0, 1.0, 0.0)),
+        "right vector must have exactly 2 components",
+    ),
+    "joint left nan": (
+        lambda: joint_probability(STATE, (NAN, 0.0), (0.0, 1.0)),
+        "left vector has a non-finite component",
+    ),
+    "joint right inf": (
+        lambda: joint_probability(STATE, (1.0, 0.0), (INF, 1.0)),
+        "right vector has a non-finite component",
+    ),
+    "joint left norm": (
+        lambda: joint_probability(STATE, (1.0 + 2e-12, 0.0), (0.0, 1.0)),
+        "left vector is not a unit vector (norm 1.000000000002)",
+    ),
+    "joint right norm": (
+        lambda: joint_probability(STATE, (1.0, 0.0), (0.0, 1.0 + 2e-12)),
+        "right vector is not a unit vector (norm 1.000000000002)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, message", VALIDATION_MESSAGES.values(), ids=VALIDATION_MESSAGES
+)
+def test_validation_message(build, message):
+    with pytest.raises(InvalidModelError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_validation_accepts_values_within_tolerance():
+    BipartiteState((1.0 + 5e-13, 0.0, 0.0, 0.0))
+    BipartiteState((0.0, 0.0, 0.0, 1.0 - 5e-13))
+    MeasurementBasis(plus=(1.0 + 5e-13, 0.0), minus=(0.0, 1.0 - 5e-13))
+    MeasurementBasis(plus=(1.0, 0.0), minus=(5e-13, 1.0))
+    joint_probability(STATE, (1.0 + 5e-13, 0.0), (0.0, 1.0 - 5e-13))
+    # the two vectors belong to different regions, so they need not be
+    # orthogonal to each other
+    assert joint_probability(STATE, (1.0, 0.0), (1.0, 0.0)) == 1.0
 
 
 class TestExperimentConfig:
@@ -374,6 +480,15 @@ class TestVerifyHardyConstraints:
             verify_hardy_constraints(canonical_table, -1e-3)
 
 
+# (x_best, p_best) of earlier releases, which the scan must keep bit for bit
+SCAN_PINS = {
+    10: (0.3819660105314106, 0.09016994374947428),
+    50: (0.38196601125010515, 0.09016994374947428),
+    1000: (0.3819660135246769, 0.09016994374947428),
+    2000: (0.38196601422904614, 0.09016994374947428),
+}
+
+
 class TestHardyScan:
     def test_rejects_small_grids(self):
         for steps in (0, 1, 9):
@@ -414,3 +529,59 @@ class TestHardyScan:
         x_best, p_best = hardy_scan(steps)
         assert abs(p_best - HARDY_MAX) <= 1e-12
         assert abs(x_best - HARDY_ARGMAX) <= 1e-8
+
+    @pytest.mark.parametrize("steps, expected", SCAN_PINS.items(), ids=str)
+    def test_scan_is_pinned_bit_for_bit(self, steps, expected):
+        assert hardy_scan(steps) == expected
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, -1.0, math.nan, math.inf])
+    def test_family_h4_domain_errors(self, x):
+        with pytest.raises(DomainError):
+            _family_h4(x)
+
+    def test_rejects_large_grids_before_allocating(self):
+        # 1,000,001 first: were the bound missing, that scan would fail this
+        # test in seconds, before the 10**12 one could exhaust memory
+        for steps in (1_000_001, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError) as excinfo:
+                    hardy_scan(steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(excinfo.value) == (
+                f"scan takes at most 1000000 steps, got {steps}"
+            )
+            assert peak < 64 * 1024
+
+    def test_float_path_equals_the_table_cell(self, monkeypatch):
+        evaluated = []
+        family_h4 = quantum._family_h4
+
+        def recording(x):
+            evaluated.append(x)
+            return family_h4(x)
+
+        monkeypatch.setattr(quantum, "_family_h4", recording)
+        hardy_scan(1000)
+        monkeypatch.undo()
+        assert len(evaluated) > 1000
+        h4 = (Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
+        for x in evaluated:
+            assert _family_h4(x) == probability_table(*hardy_family(x)).entries[h4], x
+
+    def test_scan_builds_no_records(self, monkeypatch):
+        built = {BipartiteState: 0, MeasurementBasis: 0}
+        for record in built:
+            init = record.__init__
+
+            def counting(self, *args, _init=init, _record=record, **kwargs):
+                built[_record] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__init__", counting)
+        hardy_scan(1000)
+        assert built == {BipartiteState: 0, MeasurementBasis: 0}
+        hardy_family(0.2)
+        assert built == {BipartiteState: 1, MeasurementBasis: 1}
