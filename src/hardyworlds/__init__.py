@@ -5,140 +5,64 @@ The package builds two-region, two-setting, two-outcome quantum experiments
 whose statistics contain exact zeros, enumerates the possible worlds those
 statistics admit, and model-checks counterfactual statements about changed
 experiment choices under configurable locality policies.
+
+``import hardyworlds`` is cheap: it imports none of the submodules.  Each
+public name or submodule attribute loads its submodule on first use (a PEP
+562 module ``__getattr__``), so a program pays only for the layers it uses.
 """
 
-from .analysis import (
-    ComparisonReport,
-    DeterministicStrategy,
-    DivergenceExample,
-    FeasibilityReport,
-    FlowReport,
-    FormulaCatalog,
-    SuiteReport,
-    catalog,
-    frame_comparison,
-    information_flow,
-    lhv_feasibility,
-    theorem_suite,
-)
-from .errors import (
-    CounterfactualAntecedentError,
-    DomainError,
-    EntailmentNestingError,
-    FormulaError,
-    FormulaSyntaxError,
-    HardyWorldsError,
-    InconsistentModelError,
-    InvalidModelError,
-    UnknownWorldError,
-)
-from .formulas import (
-    And,
-    Counterfactual,
-    Entails,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    OutcomeAtom,
-    SettingAtom,
-    parse,
-    pretty_print,
-)
-from .labels import FrameOrdering, Outcome, Region, Setting
-from .modelio import dump_model, load_model, parse_model, save_model
-from .quantum import (
-    BipartiteState,
-    ExperimentConfig,
-    HardyConstraintReport,
-    JointProbabilityTable,
-    MeasurementBasis,
-    canonical_hardy_model,
-    hardy_family,
-    hardy_scan,
-    joint_probability,
-    probability_table,
-    verify_hardy_constraints,
-)
-from .semantics import (
-    AccessibleSet,
-    CounterfactualTruth,
-    LocalityCondition,
-    TruthReport,
-    VacuousFlag,
-    accessible_worlds,
-    eval_counterfactual,
-    eval_model,
-    eval_world,
-    worlds_satisfying,
-)
-from .worlds import World, WorldModel, enumerate_worlds
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessibleSet",
-    "And",
-    "BipartiteState",
-    "ComparisonReport",
-    "Counterfactual",
-    "CounterfactualAntecedentError",
-    "CounterfactualTruth",
-    "DeterministicStrategy",
-    "DivergenceExample",
-    "DomainError",
-    "Entails",
-    "EntailmentNestingError",
-    "ExperimentConfig",
-    "FeasibilityReport",
-    "FlowReport",
-    "Formula",
-    "FormulaCatalog",
-    "FormulaError",
-    "FormulaSyntaxError",
-    "FrameOrdering",
-    "HardyConstraintReport",
-    "HardyWorldsError",
-    "Implies",
-    "InconsistentModelError",
-    "InvalidModelError",
-    "JointProbabilityTable",
-    "LocalityCondition",
-    "MeasurementBasis",
-    "Not",
-    "Or",
-    "Outcome",
-    "OutcomeAtom",
-    "Region",
-    "Setting",
-    "SettingAtom",
-    "SuiteReport",
-    "TruthReport",
-    "UnknownWorldError",
-    "VacuousFlag",
-    "World",
-    "WorldModel",
-    "accessible_worlds",
-    "canonical_hardy_model",
-    "catalog",
-    "dump_model",
-    "enumerate_worlds",
-    "eval_counterfactual",
-    "eval_model",
-    "eval_world",
-    "frame_comparison",
-    "hardy_family",
-    "hardy_scan",
-    "information_flow",
-    "joint_probability",
-    "lhv_feasibility",
-    "load_model",
-    "parse",
-    "parse_model",
-    "pretty_print",
-    "probability_table",
-    "save_model",
-    "theorem_suite",
-    "verify_hardy_constraints",
-    "worlds_satisfying",
-]
+# Each submodule and the public names the package takes from it.
+_EXPORTS = {
+    "analysis": (
+        "ComparisonReport", "DeterministicStrategy", "DivergenceExample",
+        "FeasibilityReport", "FlowReport", "FormulaCatalog", "SuiteReport",
+        "catalog", "frame_comparison", "information_flow", "lhv_feasibility",
+        "theorem_suite",
+    ),
+    "errors": (
+        "CounterfactualAntecedentError", "DomainError", "EntailmentNestingError",
+        "FormulaError", "FormulaSyntaxError", "HardyWorldsError",
+        "InconsistentModelError", "InvalidModelError", "UnknownWorldError",
+    ),
+    "formulas": (
+        "And", "Counterfactual", "Entails", "Formula", "Implies", "Not", "Or",
+        "OutcomeAtom", "SettingAtom", "parse", "pretty_print",
+    ),
+    "labels": ("FrameOrdering", "Outcome", "Region", "Setting"),
+    "modelio": ("dump_model", "load_model", "parse_model", "save_model"),
+    "quantum": (
+        "BipartiteState", "ExperimentConfig", "HardyConstraintReport",
+        "JointProbabilityTable", "MeasurementBasis", "canonical_hardy_model",
+        "hardy_family", "hardy_scan", "joint_probability", "probability_table",
+        "verify_hardy_constraints",
+    ),
+    "records": (),
+    "semantics": (
+        "AccessibleSet", "CounterfactualTruth", "LocalityCondition", "TruthReport",
+        "VacuousFlag", "accessible_worlds", "eval_counterfactual", "eval_model",
+        "eval_world", "worlds_satisfying",
+    ),
+    "worlds": ("World", "WorldModel", "enumerate_worlds"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = name if name in _EXPORTS else _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing a submodule also binds it as an attribute of the package
+    value = importlib.import_module(f"{__name__}.{module}")
+    if module != name:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORIGIN) | set(_EXPORTS))

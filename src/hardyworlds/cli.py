@@ -9,14 +9,10 @@ Each subcommand builds one JSON payload and reads its text and checks from it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from . import analysis, modelio
 from .errors import DomainError, FormulaError, InconsistentModelError, InvalidModelError
-from .formulas import parse, pretty_print
 from .labels import FrameOrdering
 from .quantum import (
     SCAN_STEPS_MAX,
@@ -26,17 +22,20 @@ from .quantum import (
     hardy_scan,
     probability_table,
 )
-from .semantics import LocalityCondition, TruthReport, eval_model
 from .worlds import EPSILON_DEFAULT, EPSILON_MAX, World, WorldModel, enumerate_worlds
+
+# Each command imports the other layers it runs when it runs, so a fresh
+# hardy-scan or model show process never loads formulas, semantics or
+# analysis.  These imports serve the annotations only.
+if TYPE_CHECKING:
+    from . import analysis
+    from .semantics import LocalityCondition, TruthReport
 
 FRAMES = {
     "l-first": FrameOrdering.LEFT_BEFORE_RIGHT,
     "r-first": FrameOrdering.RIGHT_BEFORE_LEFT,
 }
-LOCALITIES = {
-    "loc1": LocalityCondition.LOC1,
-    "lightcone": LocalityCondition.LIGHT_CONE,
-}
+LOCALITIES = ("loc1", "lightcone")  # the values of semantics.LocalityCondition
 Payload = dict[str, Any]
 
 
@@ -193,7 +192,12 @@ def _table(args: argparse.Namespace) -> JointProbabilityTable:
             raise UsageError(f"not a family parameter: {text!r}") from None
         state, experiment = hardy_family(x)
     elif source.startswith("file:"):
-        state, experiment = modelio.load_model(source[len("file:"):])
+        path = source[len("file:"):]
+        if not path:
+            raise UsageError("model file path is empty")
+        from . import modelio
+
+        state, experiment = modelio.load_model(path)
     else:
         raise UsageError(
             f"unknown model source {source!r}; use canonical, family:<x>, or file:<path>"
@@ -232,6 +236,8 @@ def _world_line(world: Payload) -> str:
 
 
 def _report_json(report: TruthReport) -> Payload:
+    from .formulas import pretty_print
+
     return {
         "formula": pretty_print(report.formula),
         "holds": report.holds,
@@ -287,9 +293,18 @@ def _model_show(args: argparse.Namespace) -> Result:
     return payload, [_world_line(w) for w in payload["worlds"]], {}
 
 
+def _locality(args: argparse.Namespace) -> LocalityCondition:
+    from .semantics import LocalityCondition
+
+    return LocalityCondition(args.locality)
+
+
 def _check(args: argparse.Namespace) -> Result:
+    from .formulas import parse
+    from .semantics import eval_model
+
     formula = parse(args.formula)
-    report = eval_model(_world_model(args), formula, LOCALITIES[args.locality])
+    report = eval_model(_world_model(args), formula, _locality(args))
     payload = _report_json(report)
     lines = [
         f"formula: {payload['formula']}",
@@ -302,7 +317,9 @@ def _check(args: argparse.Namespace) -> Result:
 
 
 def _suite(args: argparse.Namespace) -> Result:
-    suite = analysis.theorem_suite(_world_model(args), LOCALITIES[args.locality])
+    from . import analysis
+
+    suite = analysis.theorem_suite(_world_model(args), _locality(args))
     payload = _suite_json(suite)
     lines: list[str] = []
     for name, report in payload["statements"].items():
@@ -314,7 +331,9 @@ def _suite(args: argparse.Namespace) -> Result:
 
 
 def _flow(args: argparse.Namespace) -> Result:
-    flow = analysis.information_flow(_world_model(args), LOCALITIES[args.locality])
+    from . import analysis
+
+    flow = analysis.information_flow(_world_model(args), _locality(args))
     payload = {
         "f_of_L2": flow.f_of_L2,
         "f_of_L1": flow.f_of_L1,
@@ -338,6 +357,8 @@ def _flow(args: argparse.Namespace) -> Result:
 
 
 def _frames(args: argparse.Namespace) -> Result:
+    from . import analysis
+
     comparison = analysis.frame_comparison(_table(args), args.epsilon)
     div = comparison.divergence
     payload = {
@@ -372,6 +393,8 @@ def _frames(args: argparse.Namespace) -> Result:
 
 
 def _lhv(args: argparse.Namespace) -> Result:
+    from . import analysis
+
     report = analysis.lhv_feasibility(_table(args), args.epsilon)
     payload = {
         "feasible": report.feasible,
@@ -415,6 +438,8 @@ COMMANDS = {
 
 
 def read_expectations(path: str) -> dict[str, bool]:
+    from pathlib import Path
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -466,9 +491,24 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidModelError, InconsistentModelError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    as_json = args.output_format == "json"
-    print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
+    if args.output_format == "json":
+        import json
+
+        lines = [json.dumps(payload, indent=2)]
+    print("\n".join(lines))
     exit_code = apply_expectations(expectations, checks)
     if args.strict and checks.get("holds") is False:
         exit_code = 1
     return exit_code
+
+
+def __getattr__(name: str) -> Any:
+    """``parse`` and ``eval_model`` as attributes of this module, imported on
+    first access: perfbench/tracing.py wraps them here."""
+    if name == "parse":
+        from .formulas import parse as value
+    elif name == "eval_model":
+        from .semantics import eval_model as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return value

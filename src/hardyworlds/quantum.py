@@ -86,7 +86,10 @@ def _check_state(amplitudes: tuple[complex, complex, complex, complex]) -> None:
     a, b, c, d = amplitudes
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         raise InvalidModelError("state amplitude is not finite")
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+    try:
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+    except OverflowError:  # a component above about 1.3e154
+        norm = math.inf
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise InvalidModelError(
             f"state is not normalized: |psi| = {norm!r} differs from 1 "
@@ -101,10 +104,16 @@ def _check_units(u: ComplexVector, v: ComplexVector, u_name: str, v_name: str) -
         raise InvalidModelError(f"{u_name} has a non-finite component")
     if not (isfinite(c) and isfinite(d)):
         raise InvalidModelError(f"{v_name} has a non-finite component")
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    try:
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    except OverflowError:  # as in _check_state
+        norm = math.inf
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise InvalidModelError(f"{u_name} is not a unit vector (norm {norm!r})")
-    norm = math.sqrt(abs(c) ** 2 + abs(d) ** 2)
+    try:
+        norm = math.sqrt(abs(c) ** 2 + abs(d) ** 2)
+    except OverflowError:
+        norm = math.inf
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise InvalidModelError(f"{v_name} is not a unit vector (norm {norm!r})")
 

@@ -369,6 +369,11 @@ class TestModelSources:
         code, _, err = run_cli(capsys, "model", "show", "--file", "/nope/missing.json")
         assert code == 3
 
+    @pytest.mark.parametrize("source", [("--model", "file:"), ("--file", "")], ids=str)
+    def test_empty_file_path(self, capsys, source):
+        code, out, err = run_cli(capsys, "model", "show", *source)
+        assert (code, out, err) == (2, "", "error: model file path is empty\n")
+
     def test_corrupt_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -482,6 +487,28 @@ class TestBadInputFiles:
         code, out, err = run_cli(capsys, "model", "show", "--file", str(path))
         assert (code, out) == (3, "")
         assert err == "error: amplitude 0 is too large for a float\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("amplitudes", [1e200, 0],
+             "state is not normalized: |psi| = inf differs from 1 by more than 1e-12"),
+            ("basis", [[1e200, 0], [0, 0]], "basis plus vector is not a unit vector (norm inf)"),
+        ],
+        ids=["amplitude", "basis-vector"],
+    )
+    def test_component_too_large_to_square(self, capsys, tmp_path, field, value, message):
+        # finite, but its square overflows a float
+        document = dump_model(*canonical_hardy_model())
+        if field == "amplitudes":
+            document["amplitudes"][0] = value
+        else:
+            document["left"]["basis1"][0] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "model", "show", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
 
     def test_model_file_nested_too_deeply(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -716,3 +743,49 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # Run in a fresh interpreter: with argv None, only `import hardyworlds`;
+    # otherwise cli.main(argv), which must exit 0.  Prints the hardyworlds
+    # submodules then loaded, then whether the run itself imported json.
+    IMPORT_CHILD = """
+import sys
+json_before = "json" in sys.modules
+import hardyworlds
+if {argv!r} is not None:
+    import hardyworlds.cli
+    assert hardyworlds.cli.main({argv!r}) == 0
+print(" ".join(m.partition(".")[2] for m in sys.modules if m.startswith("hardyworlds.")))
+print(not json_before and "json" in sys.modules)
+"""
+    CLI_MODULES = {"cli", "errors", "labels", "quantum", "records", "worlds"}
+    IMPORT_SETS = {
+        "import hardyworlds": (None, set()),
+        "hardy-scan": (["hardy-scan", "--steps", "10"], CLI_MODULES),
+        "model show": (["model", "show"], CLI_MODULES),
+        "check": (["check", "L2 => (R1 []-> R1-)"], CLI_MODULES | {"formulas", "semantics"}),
+        "suite": (["suite"], CLI_MODULES | {"analysis", "formulas", "semantics"}),
+    }
+
+    def loaded_modules(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.IMPORT_CHILD.format(argv=argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        *_, modules, imported_json = proc.stdout.splitlines()
+        return set(modules.split()), imported_json == "True"
+
+    @pytest.mark.parametrize("argv, expected", IMPORT_SETS.values(), ids=IMPORT_SETS)
+    def test_each_run_imports_only_the_layers_it_needs(self, argv, expected):
+        modules, imported_json = self.loaded_modules(argv)
+        assert modules == expected
+        assert not imported_json  # text output needs no json
+
+    def test_model_file_loads_modelio(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(*canonical_hardy_model(), path)
+        modules, _ = self.loaded_modules(["model", "show", "--file", str(path)])
+        assert modules == self.CLI_MODULES | {"modelio"}

@@ -1,0 +1,122 @@
+"""The package namespace loads each submodule on first use, and still
+offers every public name, every submodule attribute and the attributes the
+benchmark's tracer wraps."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hardyworlds
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter on this checkout's src."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Where each public name is defined, written out apart from the package's
+# own table so that the two check each other.
+PUBLIC_NAMES = {
+    "analysis": "ComparisonReport DeterministicStrategy DivergenceExample "
+    "FeasibilityReport FlowReport FormulaCatalog SuiteReport catalog "
+    "frame_comparison information_flow lhv_feasibility theorem_suite",
+    "errors": "CounterfactualAntecedentError DomainError EntailmentNestingError "
+    "FormulaError FormulaSyntaxError HardyWorldsError InconsistentModelError "
+    "InvalidModelError UnknownWorldError",
+    "formulas": "And Counterfactual Entails Formula Implies Not Or OutcomeAtom "
+    "SettingAtom parse pretty_print",
+    "labels": "FrameOrdering Outcome Region Setting",
+    "modelio": "dump_model load_model parse_model save_model",
+    "quantum": "BipartiteState ExperimentConfig HardyConstraintReport "
+    "JointProbabilityTable MeasurementBasis canonical_hardy_model hardy_family "
+    "hardy_scan joint_probability probability_table verify_hardy_constraints",
+    "semantics": "AccessibleSet CounterfactualTruth LocalityCondition TruthReport "
+    "VacuousFlag accessible_worlds eval_counterfactual eval_model eval_world "
+    "worlds_satisfying",
+    "worlds": "World WorldModel enumerate_worlds",
+}
+SUBMODULES = (*PUBLIC_NAMES, "records")
+
+
+def test_every_public_name_is_its_submodules_object():
+    origin = {n: m for m, names in PUBLIC_NAMES.items() for n in names.split()}
+    assert len(origin) == 64
+    assert sorted(hardyworlds.__all__) == sorted(origin)
+    for name, module in origin.items():
+        submodule = importlib.import_module(f"hardyworlds.{module}")
+        assert getattr(hardyworlds, name) is getattr(submodule, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hardyworlds import *", namespace)
+    assert set(hardyworlds.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(hardyworlds, name) for name in hardyworlds.__all__)
+
+
+def test_submodules_resolve_as_attributes():
+    for name in SUBMODULES:
+        assert getattr(hardyworlds, name) is sys.modules[f"hardyworlds.{name}"]
+    assert callable(hardyworlds.modelio.save_model)
+
+
+def test_dir_lists_the_public_names_and_submodules():
+    listing = dir(hardyworlds)
+    assert "__all__" in listing and "__version__" in listing
+    assert set(hardyworlds.__all__) | set(SUBMODULES) <= set(listing)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'hardyworlds' has no attribute 'nope'"):
+        hardyworlds.nope
+    assert not hasattr(hardyworlds, "_nope")
+
+
+def test_version():
+    assert hardyworlds.__version__ == "0.1.0"
+
+
+def test_names_and_submodules_load_on_first_use_in_a_fresh_process():
+    out = run_fresh(
+        "import sys, hardyworlds\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('hardyworlds.'))\n"
+        "print(loaded())\n"
+        "hardyworlds.Setting\n"
+        "print(loaded())\n"
+        "hardyworlds.modelio.save_model\n"
+        "print('hardyworlds.modelio' in loaded())\n"
+    )
+    assert out.splitlines() == ["[]", "['hardyworlds.labels']", "True"]
+
+
+def test_tracer_targets_resolve_after_the_cli_childs_imports():
+    # perfbench/tracing.py wraps (module, attribute) pairs by getattr; import
+    # the package as perfbench/cli_child.py does, then resolve every pair.
+    # The tracer is imported without writing bytecode next to it.
+    out = run_fresh(
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracing import TARGETS\n"
+        "import hardyworlds.cli\n"
+        "from hardyworlds import analysis, formulas, modelio, quantum, semantics, worlds\n"
+        "unresolved = [(m, a) for m, a, _ in TARGETS\n"
+        "              if not callable(getattr(getattr(hardyworlds, m), a, None))]\n"
+        "print(len(TARGETS), unresolved)\n"
+    )
+    count, unresolved = out.split(" ", 1)
+    assert int(count) > 0
+    assert unresolved.strip() == "[]"

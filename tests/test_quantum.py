@@ -184,6 +184,37 @@ VALIDATION_MESSAGES = {
         lambda: joint_probability(STATE, (1.0, 0.0), (0.0, 1.0 + 2e-12)),
         "right vector is not a unit vector (norm 1.000000000002)",
     ),
+    # A finite component above about 1.3e154 overflows the sum of squares
+    # (or abs itself, for a complex one); the norm then reads inf.  Below
+    # that, a huge norm is still computed and printed.
+    "state large": (
+        lambda: BipartiteState((1e150, 0.0, 0.0, 0.0)),
+        "state is not normalized: |psi| = 1e+150 differs from 1 by more than 1e-12",
+    ),
+    "state huge": (
+        lambda: BipartiteState((1e200, 0.0, 0.0, 0.0)),
+        "state is not normalized: |psi| = inf differs from 1 by more than 1e-12",
+    ),
+    "state huge complex": (
+        lambda: BipartiteState((0.0, 0.0, 0.0, complex(1e300, 1e300))),
+        "state is not normalized: |psi| = inf differs from 1 by more than 1e-12",
+    ),
+    "basis plus huge": (
+        lambda: MeasurementBasis(plus=(1e200, 0.0), minus=(0.0, 1.0)),
+        "basis plus vector is not a unit vector (norm inf)",
+    ),
+    "basis minus huge": (
+        lambda: MeasurementBasis(plus=(1.0, 0.0), minus=(0.0, 1e200)),
+        "basis minus vector is not a unit vector (norm inf)",
+    ),
+    "joint left huge": (
+        lambda: joint_probability(STATE, (1e200, 0.0), (0.0, 1.0)),
+        "left vector is not a unit vector (norm inf)",
+    ),
+    "joint right huge": (
+        lambda: joint_probability(STATE, (1.0, 0.0), (0.0, 1e200)),
+        "right vector is not a unit vector (norm inf)",
+    ),
 }
 
 
