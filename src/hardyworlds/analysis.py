@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
-from .quantum import CELLS, JointProbabilityTable, TableKey
+from .quantum import CELLS, JointProbabilityTable
 from .records import Record
 from .semantics import LocalityCondition, TruthReport, eval_world, eval_model
 from .worlds import EPSILON_DEFAULT, World, WorldModel, enumerate_worlds
@@ -218,25 +218,50 @@ class ComparisonReport(Record):
         object.__setattr__(self, "stmt1_frame_dependent", stmt1_frame_dependent)
 
 
+def _as_light_cone(suite: SuiteReport) -> SuiteReport:
+    """The same verdicts, witnesses and vacuity flags, labelled light-cone."""
+    light_cone = LocalityCondition.LIGHT_CONE
+    return SuiteReport(
+        statements={
+            name: TruthReport(
+                formula=report.formula,
+                holds=report.holds,
+                witnesses=report.witnesses,
+                locality=light_cone,
+                frame=report.frame,
+                vacuous_flags=report.vacuous_flags,
+            )
+            for name, report in suite.statements.items()
+        },
+        locality=light_cone,
+        frame=suite.frame,
+    )
+
+
 def frame_comparison(
     table: JointProbabilityTable,
     epsilon: float = EPSILON_DEFAULT,
 ) -> ComparisonReport:
     """Evaluate the suite under LOC1 in both frames and under light-cone.
 
-    The light-cone suite is frame independent, so it is computed once, on
-    the left-first model.  When the world (L2, R1, +, -) is possible, the
-    report also carries the left-side counterfactual that separates the two
-    policies at that world.
+    The light-cone suite is frame independent and is reported on the
+    left-first model.  There it equals the LOC1 left-first suite: every
+    catalogued counterfactual changes the right choice, and LOC1 in the
+    left-first frame then holds the earlier left outcome fixed, exactly as
+    the light-cone policy does.  So that suite is evaluated once and
+    relabelled; frame dependence can show only in the right-first suite.
+    When the world (L2, R1, +, -) is possible, the report also carries the
+    left-side counterfactual that separates the two policies at that world.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
     model_r = WorldModel(
         model_l.worlds, model_l.table, model_l.epsilon, FrameOrdering.RIGHT_BEFORE_LEFT
     )
+    loc1_l_first = theorem_suite(model_l, LocalityCondition.LOC1)
     suites = {
-        LOC1_L_FIRST: theorem_suite(model_l, LocalityCondition.LOC1),
+        LOC1_L_FIRST: loc1_l_first,
         LOC1_R_FIRST: theorem_suite(model_r, LocalityCondition.LOC1),
-        LIGHT_CONE_KEY: theorem_suite(model_l, LocalityCondition.LIGHT_CONE),
+        LIGHT_CONE_KEY: _as_light_cone(loc1_l_first),
     }
     divergence: DivergenceExample | None = None
     pivot = model_l.find(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
@@ -345,37 +370,44 @@ _HARDY_ZERO_NAMES = {
 }
 
 
-def _cell_text(key: TableKey) -> str:
-    ls, rs, lo, ro = key
-    return f"P({ls}{lo},{rs}{ro} | {ls},{rs})"
-
-
-def _zero_label(key: TableKey) -> str:
-    name = _HARDY_ZERO_NAMES.get(key)
-    base = f"{_cell_text(key)} = 0"
-    return f"{name}: {base}" if name else base
-
-
-def _lowest_cell(mask: int) -> TableKey:
-    """The first cell, in CELLS order, of a nonzero cell mask."""
-    return CELLS[(mask & -mask).bit_length() - 1]
+def _lowest_index(mask: int) -> int:
+    """The position, in CELLS order, of the first cell of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 @cache
-def _strategy_masks() -> tuple[tuple[tuple[DeterministicStrategy, int], ...], int]:
-    """Each of the 16 strategies with the mask of the cells it produces, and
-    the mask of the Hardy-named zeros; bit i stands for CELLS[i].  Built on
-    the first call, not at import."""
+def _cell_labels() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Each cell's probability text and the label that cites it as a zero,
+    in CELLS order.  Built on the first call, not at import."""
+    texts = tuple(f"P({ls}{lo},{rs}{ro} | {ls},{rs})" for ls, rs, lo, ro in CELLS)
+    zero_labels = tuple(
+        f"{_HARDY_ZERO_NAMES[key]}: {text} = 0"
+        if key in _HARDY_ZERO_NAMES
+        else f"{text} = 0"
+        for key, text in zip(CELLS, texts)
+    )
+    return texts, zero_labels
+
+
+@cache
+def _strategy_masks() -> tuple[tuple[tuple[DeterministicStrategy, int, str], ...], int]:
+    """Each of the 16 strategies with the mask of the cells it produces and
+    its label, and the mask of the Hardy-named zeros; bit i stands for
+    CELLS[i].  Built on the first call, not at import."""
     strategies = tuple(
         DeterministicStrategy(*combo)
         for combo in product(OUTCOMES, OUTCOMES, OUTCOMES, OUTCOMES)
     )
-    masks = tuple(
-        sum(1 << i for i, cell in enumerate(CELLS) if strategy.produces(*cell))
+    entries = tuple(
+        (
+            strategy,
+            sum(1 << i for i, cell in enumerate(CELLS) if strategy.produces(*cell)),
+            strategy.label(),
+        )
         for strategy in strategies
     )
     named = sum(1 << CELLS.index(key) for key in _HARDY_ZERO_NAMES)
-    return tuple(zip(strategies, masks)), named
+    return entries, named
 
 
 def lhv_feasibility(
@@ -384,39 +416,37 @@ def lhv_feasibility(
 ) -> FeasibilityReport:
     """Possibilistic check of the 16 local deterministic strategies."""
     strategies, named = _strategy_masks()
+    cell_texts, zero_labels = _cell_labels()
     # entries iterate in CELLS order, so cell i is bit i
     zero = sum(1 << i for i, p in enumerate(table.entries.values()) if p <= epsilon)
     positive = ((1 << len(CELLS)) - 1) & ~zero
 
-    def first_zero(mask: int) -> TableKey:
+    def excluded_by(mask: int) -> str:
         # Hardy-named zeros first so canonical traces cite h1..h3
         hits = mask & zero
-        return _lowest_cell(hits & named or hits)
+        return zero_labels[_lowest_index(hits & named or hits)]
 
     excluded: list[tuple[DeterministicStrategy, str]] = []
     survivors: list[DeterministicStrategy] = []
     coverage = 0
-    for strategy, mask in strategies:
+    for strategy, mask, _ in strategies:
         if mask & zero:
-            excluded.append((strategy, _zero_label(first_zero(mask))))
+            excluded.append((strategy, excluded_by(mask)))
         else:
             survivors.append(strategy)
             coverage |= mask
 
     uncovered = positive & ~coverage
     if uncovered:
-        bit = uncovered & -uncovered
-        key = _lowest_cell(bit)
+        index = _lowest_index(uncovered)
         lines = [
-            f"table demands {_cell_text(key)} > 0 "
-            f"(= {table.entries[key]:.9f}), but every deterministic strategy "
+            f"table demands {cell_texts[index]} > 0 "
+            f"(= {table.entries[CELLS[index]]:.9f}), but every deterministic strategy "
             "producing that pair is excluded:"
         ]
-        for strategy, mask in strategies:
-            if mask & bit:
-                lines.append(
-                    f"  {strategy.label()} excluded by {_zero_label(first_zero(mask))}"
-                )
+        for _, mask, label in strategies:
+            if mask >> index & 1:
+                lines.append(f"  {label} excluded by {excluded_by(mask)}")
         lines.append(
             "no mixture of surviving strategies can give this pair positive "
             "probability, so no local deterministic account exists"

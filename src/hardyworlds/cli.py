@@ -440,6 +440,9 @@ COMMANDS = {
 def read_expectations(path: str) -> dict[str, bool]:
     from pathlib import Path
 
+    if not path:
+        # Path('') is the working directory
+        raise UsageError("expectation file path is empty")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

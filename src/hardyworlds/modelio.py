@@ -102,6 +102,9 @@ def parse_model(document: Any) -> tuple[BipartiteState, ExperimentConfig]:
 
 def load_model(path: str | Path) -> tuple[BipartiteState, ExperimentConfig]:
     """Read a model file from ``path``."""
+    if path == "":
+        # Path('') is the working directory
+        raise InvalidModelError("model file path is empty")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -14,7 +14,10 @@ Under LOC1 the other region's outcome is held fixed precisely when that
 region is earlier than e's region in the model's frame; a later region is
 left free to vary.  Under the light-cone policy the other region's outcome
 is held fixed regardless of frame, which never enlarges and may shrink the
-LOC1 set.
+LOC1 set.  The two policies coincide whenever the changed choice lies in the
+later region: a right-choice change under LOC1 in the left-first frame holds
+the left outcome fixed, just as the light-cone policy does, so they can
+differ only on changes made in the earlier region.
 
 The counterfactual is true at w when its consequent holds in every
 accessible world, false when some accessible world violates it, and vacuous

@@ -21,8 +21,15 @@ from hardyworlds.analysis import (
     lhv_feasibility,
     theorem_suite,
 )
-from hardyworlds.formulas import Entails, SettingAtom, parse, pretty_print
-from hardyworlds.labels import FrameOrdering, Outcome, Setting
+from hardyworlds.formulas import (
+    Counterfactual,
+    Entails,
+    SettingAtom,
+    parse,
+    pretty_print,
+    subformulas,
+)
+from hardyworlds.labels import FrameOrdering, Outcome, Region, Setting
 from hardyworlds.quantum import (
     CELLS,
     BipartiteState,
@@ -66,6 +73,24 @@ class TestCatalog:
 
     def test_shared_consequent_mentions_only_the_right_region(self):
         assert "L" not in SR_TEXT.replace("[]->", "")
+
+    def test_every_counterfactual_changes_a_right_choice(self):
+        # frame_comparison reports the LOC1 left-first suite as the light-cone
+        # suite; the two agree only for counterfactuals that change the right
+        # choice, where LOC1 in that frame protects the earlier left outcome
+        shapes = catalog()
+        formulas = [*shapes.statements().values(), shapes.right_region_statement]
+        counterfactuals = [
+            sub
+            for formula in formulas
+            for sub in subformulas(formula)
+            if isinstance(sub, Counterfactual)
+        ]
+        assert len(counterfactuals) == 4
+        for counterfactual in counterfactuals:
+            assert counterfactual.antecedent.region is Region.RIGHT, pretty_print(
+                counterfactual
+            )
 
 
 class TestTheoremSuite:
@@ -193,15 +218,75 @@ class TestFrameComparison:
 
     def test_light_cone_suite_is_frame_blind(self, canonical_table):
         # light-cone protection never consults the frame, so evaluating on
-        # the right-first model must give the same verdicts
+        # the right-first model must give the same verdicts and witnesses
         report = frame_comparison(canonical_table)
         model_r = enumerate_worlds(
             canonical_table, frame=FrameOrdering.RIGHT_BEFORE_LEFT
         )
-        assert (
-            theorem_suite(model_r, LIGHT_CONE).truth_values()
-            == report.suites[LIGHT_CONE_KEY].truth_values()
+        def verdicts(suite):
+            return {
+                name: (r.holds, r.witnesses) for name, r in suite.statements.items()
+            }
+
+        assert verdicts(theorem_suite(model_r, LIGHT_CONE)) == verdicts(
+            report.suites[LIGHT_CONE_KEY]
         )
+
+
+def random_support_table(zero_pattern, on_threshold, positives, epsilon, order):
+    """A table whose cells in ``zero_pattern`` sit at 0 or exactly on the
+    threshold, built in a random key order."""
+    entries = {}
+    for i in order:
+        if zero_pattern >> i & 1:
+            entries[CELLS[i]] = epsilon if on_threshold >> i & 1 else 0.0
+        else:
+            entries[CELLS[i]] = positives[i]
+    return JointProbabilityTable(entries)
+
+
+RANDOM_SUPPORT_ARGS = dict(
+    zero_pattern=st.integers(0, (1 << 16) - 1),
+    on_threshold=st.integers(0, (1 << 16) - 1),
+    positives=st.lists(
+        st.floats(min_value=2e-3, max_value=1.0), min_size=16, max_size=16
+    ),
+    epsilon=st.sampled_from([1e-9, 1e-3]),
+    order=st.permutations(range(16)),
+)
+
+
+class TestLightConeSuiteAgainstEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(**RANDOM_SUPPORT_ARGS)
+    def test_random_zero_patterns(
+        self, zero_pattern, on_threshold, positives, epsilon, order
+    ):
+        # every setting pair keeps at least one possible outcome pair, or
+        # the table has no world model; sparse rows leave counterfactuals
+        # with no accessible world, so vacuous flags are covered
+        for row in range(4):
+            if zero_pattern >> 4 * row & 0xF == 0xF:
+                zero_pattern &= ~(1 << 4 * row + order[row] % 4)
+        table = random_support_table(
+            zero_pattern, on_threshold, positives, epsilon, order
+        )
+        model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
+        expected = theorem_suite(model_l, LIGHT_CONE)
+        assert frame_comparison(table, epsilon).suites[LIGHT_CONE_KEY] == expected
+
+    def test_vacuous_flags_are_kept(self, uniform_table):
+        # under (L2, R1) the left outcome is always -, so switching R2 to R1
+        # while holding L2+ fixed reaches no world: stmt3 is vacuous there
+        plus, minus = Outcome.PLUS, Outcome.MINUS
+        entries = dict(uniform_table.entries)
+        for lo, ro, p in [(plus, plus, 0.0), (plus, minus, 0.0),
+                          (minus, plus, 0.5), (minus, minus, 0.5)]:
+            entries[(Setting.L2, Setting.R1, lo, ro)] = p
+        table = JointProbabilityTable(entries)
+        suite = frame_comparison(table).suites[LIGHT_CONE_KEY]
+        assert suite.statements["stmt3"].vacuous_flags
+        assert suite == theorem_suite(enumerate_worlds(table), LIGHT_CONE)
 
 
 class TestDeterministicStrategy:
@@ -358,24 +443,11 @@ class TestLhvAgainstEnumeration:
             assert_matches_enumeration(probability_table(*hardy_family(x)), 1e-9)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        zero_pattern=st.integers(0, (1 << 16) - 1),
-        on_threshold=st.integers(0, (1 << 16) - 1),
-        positives=st.lists(
-            st.floats(min_value=2e-3, max_value=1.0), min_size=16, max_size=16
-        ),
-        epsilon=st.sampled_from([1e-9, 1e-3]),
-        order=st.permutations(range(16)),
-    )
+    @given(**RANDOM_SUPPORT_ARGS)
     def test_random_zero_patterns(
         self, zero_pattern, on_threshold, positives, epsilon, order
     ):
-        # cells in the zero pattern sit at 0 or exactly on the threshold;
-        # the table is built in a random key order
-        entries = {}
-        for i in order:
-            if zero_pattern >> i & 1:
-                entries[CELLS[i]] = epsilon if on_threshold >> i & 1 else 0.0
-            else:
-                entries[CELLS[i]] = positives[i]
-        assert_matches_enumeration(JointProbabilityTable(entries), epsilon)
+        table = random_support_table(
+            zero_pattern, on_threshold, positives, epsilon, order
+        )
+        assert_matches_enumeration(table, epsilon)

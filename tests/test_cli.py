@@ -18,6 +18,11 @@ from hardyworlds.quantum import (
 )
 
 CANONICAL_FIRST_LINE = "L1 R1 + + p=0.166666667 (=1/6)"
+# child interpreters import the package from this checkout's sources
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -440,6 +445,10 @@ class TestExpectations:
         code, _, err = run_cli(capsys, "suite", "--expect", "/nope/expect.txt")
         assert code == 2
 
+    def test_empty_expect_path(self, capsys):
+        code, out, err = run_cli(capsys, "suite", "--expect", "")
+        assert (code, out, err) == (2, "", "error: expectation file path is empty\n")
+
     def test_unreadable_expect_file_prints_no_report(self, capsys):
         code, out, err = run_cli(capsys, "suite", "--expect", "/nope/expect.txt")
         assert code == 2
@@ -714,6 +723,7 @@ class TestEntryPoints:
             [sys.executable, "-m", "hardyworlds", "model", "show"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == CANONICAL_FIRST_LINE
@@ -723,12 +733,12 @@ class TestEntryPoints:
             [sys.executable, "-m", "hardyworlds", "check", "L1 &"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 2
 
     def test_cli_import_loads_no_numeric_libraries(self):
         # nor the slow-to-import stdlib modules the CLI does not need
-        src = Path(__file__).resolve().parent.parent / "src"
         unwanted = {"numpy", "scipy", "dataclasses", "inspect", "fractions"}
         proc = subprocess.run(
             [
@@ -739,7 +749,7 @@ class TestEntryPoints:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -767,12 +777,11 @@ print(not json_before and "json" in sys.modules)
     }
 
     def loaded_modules(self, argv):
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c", self.IMPORT_CHILD.format(argv=argv)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         *_, modules, imported_json = proc.stdout.splitlines()

@@ -141,6 +141,12 @@ class TestLoadModel:
         with pytest.raises(InvalidModelError):
             load_model(tmp_path / "nope.json")
 
+    def test_empty_path(self):
+        # Path('') names the working directory, so this must not try to read it
+        with pytest.raises(InvalidModelError) as excinfo:
+            load_model("")
+        assert str(excinfo.value) == "model file path is empty"
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
