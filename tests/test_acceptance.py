@@ -191,7 +191,8 @@ def test_criterion_11_property_suites(canonical_table):
             x = rng.uniform(0.001, 0.499)
             table = probability_table(*hardy_family(x))
             for ls, rs in SETTING_PAIRS:
-                assert abs(table.row_sum(ls, rs) - 1.0) <= 1e-9
+                row = [table.prob(ls, rs, lo, ro) for lo in OUTCOMES for ro in OUTCOMES]
+                assert abs(sum(row) - 1.0) <= 1e-9
 
         for frame in FrameOrdering:
             model = enumerate_worlds(canonical_table, frame=frame)

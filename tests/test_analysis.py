@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -39,6 +40,7 @@ from hardyworlds.quantum import (
     canonical_hardy_model,
     hardy_family,
     probability_table,
+    verify_hardy_constraints,
 )
 from hardyworlds.semantics import LocalityCondition
 from hardyworlds.worlds import enumerate_worlds
@@ -451,3 +453,27 @@ class TestLhvAgainstEnumeration:
             zero_pattern, on_threshold, positives, epsilon, order
         )
         assert_matches_enumeration(table, epsilon)
+
+
+def uniform_support_table(row_masks):
+    """The table whose setting pair k puts equal weight on the cells of the
+    4-bit support ``row_masks[k]``, in ``CELLS`` order, and 0 elsewhere."""
+    probabilities = [
+        (1.0 / bin(mask).count("1") if mask >> i & 1 else 0.0)
+        for mask in row_masks
+        for i in range(4)
+    ]
+    return JointProbabilityTable(dict(zip(CELLS, probabilities)))
+
+
+class TestCensus:
+    def test_every_hardy_pattern_is_lhv_infeasible(self):
+        # a world model depends only on which cells are possible: each of
+        # the 4 setting pairs has 15 non-empty supports, 15**4 patterns
+        hardy = 0
+        for row_masks in itertools.product(range(1, 16), repeat=4):
+            table = uniform_support_table(row_masks)
+            if verify_hardy_constraints(table).satisfied:
+                hardy += 1
+                assert not lhv_feasibility(table).feasible, row_masks
+        assert hardy == 1568

@@ -57,6 +57,14 @@ def random_basis(parts):
     return MeasurementBasis(plus=(a, b), minus=(-b.conjugate(), a.conjugate()))
 
 
+def row_sum(table, left_setting, right_setting):
+    return sum(
+        table.prob(left_setting, right_setting, lo, ro)
+        for lo in OUTCOMES
+        for ro in OUTCOMES
+    )
+
+
 def product_state(left_vector, right_vector):
     return BipartiteState(
         tuple(
@@ -364,7 +372,7 @@ class TestProbabilityTable:
 
     def test_rows_sum_to_one(self, canonical_table):
         for ls, rs in SETTING_PAIRS:
-            assert canonical_table.row_sum(ls, rs) == pytest.approx(1.0, abs=1e-9)
+            assert row_sum(canonical_table, ls, rs) == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_zeros(self, canonical_table):
         assert canonical_table.prob(
@@ -450,7 +458,7 @@ class TestHardyFamily:
             state, config = hardy_family(x)
             table = probability_table(state, config)
             for ls, rs in SETTING_PAIRS:
-                assert table.row_sum(ls, rs) == pytest.approx(1.0, abs=1e-9)
+                assert row_sum(table, ls, rs) == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetry_across_family(self):
         flip = {Setting.L1: Setting.R2, Setting.L2: Setting.R1,
@@ -520,11 +528,50 @@ SCAN_PINS = {
 }
 
 
+def sampled_grid_sizes(count, rng):
+    """``count`` grid sizes drawn log-uniformly from about 400 to 100,000."""
+    return sorted(int(10 ** rng.uniform(2.6, 5.0)) for _ in range(count))
+
+
+def exhaustive_scan(steps):
+    """The scan as it was before bisection: every grid point evaluated,
+    the first maximal one kept, then the same bracket and refinement."""
+    grid = [0.5 * (j + 1) / (steps + 1) for j in range(steps)]
+    values = [_family_h4(x) for x in grid]
+    best = max(range(steps), key=values.__getitem__)
+    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
+    hi = grid[best + 1] if best < steps - 1 else (grid[-1] + 0.5) / 2.0
+    refined_x, refined_p = quantum._golden_section_max(_family_h4, lo, hi, 1e-10)
+    x_best, p_best = grid[best], values[best]
+    if refined_p > p_best:
+        x_best, p_best = refined_x, refined_p
+    return x_best, p_best
+
+
 class TestHardyScan:
     def test_rejects_small_grids(self):
         for steps in (0, 1, 9):
             with pytest.raises(DomainError):
                 hardy_scan(steps)
+
+    @pytest.mark.parametrize("steps", [10.9, 50.0, "50", True, None, 1e3])
+    def test_rejects_steps_that_are_not_ints(self, steps):
+        with pytest.raises(DomainError) as excinfo:
+            hardy_scan(steps)
+        assert str(excinfo.value) == (
+            f"scan steps must be an integer, got {steps!r}"
+        )
+
+    def test_bisection_equals_the_exhaustive_scan_on_small_grids(self):
+        for steps in range(10, 401):
+            assert hardy_scan(steps) == exhaustive_scan(steps), steps
+
+    @pytest.mark.parametrize(
+        "steps",
+        sampled_grid_sizes(20, random.Random(9)) + [100_000],
+    )
+    def test_bisection_equals_the_exhaustive_scan(self, steps):
+        assert hardy_scan(steps) == exhaustive_scan(steps)
 
     def test_coarse_grid_still_converges(self):
         x_best, p_best = hardy_scan(10)
@@ -571,8 +618,9 @@ class TestHardyScan:
             _family_h4(x)
 
     def test_rejects_large_grids_before_allocating(self):
-        # 1,000,001 first: were the bound missing, that scan would fail this
-        # test in seconds, before the 10**12 one could exhaust memory
+        # were the bound missing, the bisecting scan would return within
+        # milliseconds and the DomainError check would fail; the memory peak
+        # guards against per-point lists coming back
         for steps in (1_000_001, 10**12):
             tracemalloc.start()
             try:
@@ -597,7 +645,7 @@ class TestHardyScan:
         monkeypatch.setattr(quantum, "_family_h4", recording)
         hardy_scan(1000)
         monkeypatch.undo()
-        assert len(evaluated) > 1000
+        assert len(evaluated) == 57
         h4 = (Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
         for x in evaluated:
             assert _family_h4(x) == probability_table(*hardy_family(x)).entries[h4], x
