@@ -11,6 +11,13 @@ stmt1 and stmt2 share their consequent; only the left choice differs.  That
 shared consequent speaks solely about the right region, so the pair doubles
 as a probe of whether a statement about one region can depend on the
 faraway choice.
+
+Each catalogued verdict is evaluated once per table, epsilon, frame and
+locality, and kept in the table's memo beside the world set it was
+evaluated on.  The suite, the flow and the frame comparison of one table
+read it from there.  Only a model that holds the very world set
+``enumerate_worlds`` built for its table shares these verdicts; a
+hand-built model is evaluated afresh.
 """
 
 from __future__ import annotations
@@ -105,15 +112,32 @@ class SuiteReport(Record):
         return {name: report.holds for name, report in self.statements.items()}
 
 
+def _catalogued_reports(
+    model: WorldModel, locality: LocalityCondition, names: tuple[str, ...]
+) -> list[TruthReport]:
+    """The reports of the named catalogued statements on ``model``: from the
+    table's memo when ``model`` holds the table's own world set for its
+    epsilon, else evaluated afresh.  The memo keeps reports, never a model,
+    so it refers back to nothing."""
+    memo = model.table._memo
+    if memo.get(model.epsilon) is not model.worlds:
+        memo = {}
+    keys = [(model.epsilon, model.frame, locality, name) for name in names]
+    missing = [(key, name) for key, name in zip(keys, names) if key not in memo]
+    if missing:
+        shapes = catalog()
+        for key, name in missing:
+            memo[key] = eval_model(model, getattr(shapes, name), locality)
+    return [memo[key] for key in keys]
+
+
 def theorem_suite(
     model: WorldModel,
     locality: LocalityCondition = LocalityCondition.LOC1,
 ) -> SuiteReport:
     """Evaluate the three catalogued statements against ``model``."""
-    reports = {
-        name: eval_model(model, formula, locality)
-        for name, formula in catalog().statements().items()
-    }
+    names = ("stmt1", "stmt2", "stmt3")
+    reports = dict(zip(names, _catalogued_reports(model, locality, names)))
     return SuiteReport(statements=reports, locality=locality, frame=model.frame)
 
 
@@ -133,7 +157,12 @@ READING_REFERENCE = (
 
 class FlowReport(Record):
     """Does the truth of the shared right-region statement track the left
-    choice?"""
+    choice?
+
+    ``f_of_L2`` and ``f_of_L1`` are the truth values of the suite's stmt1
+    and stmt2, which are that statement entailed by L2 and by L1;
+    ``reports`` holds the same two reports under those names.
+    """
 
     f_of_L2: bool
     f_of_L1: bool
@@ -163,10 +192,14 @@ def information_flow(
     model: WorldModel,
     locality: LocalityCondition = LocalityCondition.LOC1,
 ) -> FlowReport:
-    """Compare the statement's truth under the two left-side conditionings."""
-    shapes = catalog()
-    report_l2 = eval_model(model, shapes.conditioned_on(Setting.L2), locality)
-    report_l1 = eval_model(model, shapes.conditioned_on(Setting.L1), locality)
+    """Compare the statement's truth under the two left-side conditionings.
+
+    The statement entailed by L2 is the suite's stmt1 and the one entailed
+    by L1 is stmt2 (``FormulaCatalog.conditioned_on``), so f_of_L2 and
+    f_of_L1 are the suite's own reports of those two statements, shared
+    with ``theorem_suite`` on the same model and locality.
+    """
+    report_l2, report_l1 = _catalogued_reports(model, locality, ("stmt1", "stmt2"))
     dependent = report_l2.holds != report_l1.holds
     witness: World | None = None
     if dependent:
@@ -250,13 +283,13 @@ def frame_comparison(
     left-first frame then holds the earlier left outcome fixed, exactly as
     the light-cone policy does.  So that suite is evaluated once and
     relabelled; frame dependence can show only in the right-first suite.
+    Both models come from ``enumerate_worlds``, so they share the table's
+    world set, and each suite reuses any verdict already evaluated on it.
     When the world (L2, R1, +, -) is possible, the report also carries the
     left-side counterfactual that separates the two policies at that world.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
-    model_r = WorldModel(
-        model_l.worlds, model_l.table, model_l.epsilon, FrameOrdering.RIGHT_BEFORE_LEFT
-    )
+    model_r = enumerate_worlds(table, epsilon, FrameOrdering.RIGHT_BEFORE_LEFT)
     loc1_l_first = theorem_suite(model_l, LocalityCondition.LOC1)
     suites = {
         LOC1_L_FIRST: loc1_l_first,

@@ -207,6 +207,11 @@ class JointProbabilityTable(Record):
     additionally checks that each setting pair's four probabilities sum to 1,
     which holds for every table produced by ``probability_table`` but can be
     skipped for deliberately degenerate tables used to exercise error paths.
+
+    ``_memo`` is a private dict, not a field: the analyses keep there what
+    they derive from the table (each epsilon's world set and the
+    catalogued verdicts on it), so every analysis of one table computes
+    them once.  It holds no reference back to the table.
     """
 
     entries: Mapping[TableKey, float]
@@ -230,6 +235,7 @@ class JointProbabilityTable(Record):
             if type(value) is not float:
                 entries[key] = p
         object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "_memo", {})
 
     def prob(
         self,

@@ -7,6 +7,11 @@ record cannot be changed: assigning or deleting any attribute raises
 and their fields are equal in order; the hash is that of the field tuple, so
 a record holding a mapping is unhashable.  ``repr`` lists every field as
 ``Name(field=value, ...)``.
+
+A record may also set private attributes that are not fields, such as a
+memo of results derived from its fields (``JointProbabilityTable._memo``).
+It sets them in ``__init__`` like a field; they play no part in equality,
+hashing or ``repr``.
 """
 
 from __future__ import annotations

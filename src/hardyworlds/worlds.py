@@ -159,23 +159,35 @@ def enumerate_worlds(
     Raises InconsistentModelError when some setting pair ends up with no
     possible world at all; free choice of settings demands at least one
     possible outcome for every pair.
+
+    The world set is built once per table and epsilon and kept in the
+    table's memo under the epsilon; later calls, in either frame, wrap that
+    same set in a new model.  A table that violates free choice keeps
+    nothing, so every call raises.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < EPSILON_MAX:
         raise DomainError(
             f"epsilon must lie strictly in (0, {EPSILON_MAX}), got {epsilon!r}"
         )
-    worlds = frozenset(
-        World(ls, rs, lo, ro, probability=p)
-        for (ls, rs, lo, ro), p in table.entries.items()
-        if p > epsilon
-    )
-    for ls, rs in SETTING_PAIRS:
-        if not any(
-            w.left_setting is ls and w.right_setting is rs for w in worlds
-        ):
-            raise InconsistentModelError(
-                f"free-choice violation: settings ({ls}, {rs}) admit no outcome "
-                f"with probability above {epsilon}"
-            )
+    memo = table._memo
+    worlds = memo.get(epsilon)
+    if worlds is None:
+        # entries iterate in CELLS order: cell i is bit i, and the four
+        # cells of setting pair k are bits 4k..4k+3
+        support = 0
+        for i, p in enumerate(table.entries.values()):
+            if p > epsilon:
+                support |= 1 << i
+        for k, (ls, rs) in enumerate(SETTING_PAIRS):
+            if not support >> 4 * k & 0xF:
+                raise InconsistentModelError(
+                    f"free-choice violation: settings ({ls}, {rs}) admit no "
+                    f"outcome with probability above {epsilon}"
+                )
+        worlds = memo[epsilon] = frozenset(
+            World(ls, rs, lo, ro, probability=p)
+            for (ls, rs, lo, ro), p in table.entries.items()
+            if p > epsilon
+        )
     return WorldModel(worlds=worlds, table=table, epsilon=epsilon, frame=frame)

@@ -1,11 +1,15 @@
+import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyworlds import analysis, semantics
 from hardyworlds.analysis import (
     DIVERGENCE_TEXT,
     LIGHT_CONE_KEY,
@@ -42,8 +46,9 @@ from hardyworlds.quantum import (
     probability_table,
     verify_hardy_constraints,
 )
-from hardyworlds.semantics import LocalityCondition
-from hardyworlds.worlds import enumerate_worlds
+from hardyworlds.errors import InconsistentModelError
+from hardyworlds.semantics import LocalityCondition, eval_model
+from hardyworlds.worlds import World, WorldModel, enumerate_worlds
 from oracles import lhv_by_enumeration
 
 LOC1 = LocalityCondition.LOC1
@@ -258,19 +263,25 @@ RANDOM_SUPPORT_ARGS = dict(
 )
 
 
+def free_choice_table(zero_pattern, on_threshold, positives, epsilon, order):
+    """``random_support_table`` with one cell of each all-zero row revived.
+
+    Every setting pair keeps at least one possible outcome pair, or the
+    table has no world model; sparse rows leave counterfactuals with no
+    accessible world, so vacuous flags are covered."""
+    for row in range(4):
+        if zero_pattern >> 4 * row & 0xF == 0xF:
+            zero_pattern &= ~(1 << 4 * row + order[row] % 4)
+    return random_support_table(zero_pattern, on_threshold, positives, epsilon, order)
+
+
 class TestLightConeSuiteAgainstEvaluation:
     @settings(max_examples=300, deadline=None)
     @given(**RANDOM_SUPPORT_ARGS)
     def test_random_zero_patterns(
         self, zero_pattern, on_threshold, positives, epsilon, order
     ):
-        # every setting pair keeps at least one possible outcome pair, or
-        # the table has no world model; sparse rows leave counterfactuals
-        # with no accessible world, so vacuous flags are covered
-        for row in range(4):
-            if zero_pattern >> 4 * row & 0xF == 0xF:
-                zero_pattern &= ~(1 << 4 * row + order[row] % 4)
-        table = random_support_table(
+        table = free_choice_table(
             zero_pattern, on_threshold, positives, epsilon, order
         )
         model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
@@ -289,6 +300,153 @@ class TestLightConeSuiteAgainstEvaluation:
         suite = frame_comparison(table).suites[LIGHT_CONE_KEY]
         assert suite.statements["stmt3"].vacuous_flags
         assert suite == theorem_suite(enumerate_worlds(table), LIGHT_CONE)
+
+
+def fresh(table):
+    """An equal table that shares no memo with ``table``."""
+    return JointProbabilityTable(dict(table.entries))
+
+
+# the four analyses of a sweep op, each from a table
+ANALYSES = (
+    lambda t, eps, frame, loc: theorem_suite(enumerate_worlds(t, eps, frame), loc),
+    lambda t, eps, frame, loc: information_flow(enumerate_worlds(t, eps, frame), loc),
+    lambda t, eps, frame, loc: frame_comparison(t, eps),
+    lambda t, eps, frame, loc: lhv_feasibility(t, eps),
+)
+
+
+def catalogued_reports(model, locality):
+    """Each catalogued statement evaluated directly on ``model``."""
+    return {
+        name: eval_model(model, formula, locality)
+        for name, formula in catalog().statements().items()
+    }
+
+
+class TestSharedVerdicts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        **RANDOM_SUPPORT_ARGS,
+        frame=st.sampled_from(list(FrameOrdering)),
+        locality=st.sampled_from(list(LocalityCondition)),
+        analyses=st.permutations(range(len(ANALYSES))),
+        dropped=st.integers(0, 15),
+    )
+    def test_shared_results_equal_fresh_ones(
+        self, zero_pattern, on_threshold, positives, epsilon, order,
+        frame, locality, analyses, dropped,
+    ):
+        table = free_choice_table(zero_pattern, on_threshold, positives, epsilon, order)
+        for index in analyses:
+            shared = ANALYSES[index](table, epsilon, frame, locality)
+            alone = ANALYSES[index](fresh(table), epsilon, frame, locality)
+            assert shared == alone
+            assert repr(shared) == repr(alone)
+        # a hand-built model on the same table, epsilon and frame but over
+        # fewer worlds must not read the table's verdicts
+        worlds = enumerate_worlds(table, epsilon, frame).sorted_worlds()
+        del worlds[dropped % len(worlds)]
+        hand_built = WorldModel(frozenset(worlds), table, epsilon, frame)
+        reports = catalogued_reports(hand_built, locality)
+        assert theorem_suite(hand_built, locality).statements == reports
+        flow = information_flow(hand_built, locality)
+        assert flow.reports == {
+            "f_of_L2": reports["stmt1"], "f_of_L1": reports["stmt2"],
+        }
+
+    def test_hand_built_model_gets_its_own_verdicts(self, canonical_pair):
+        table = probability_table(*canonical_pair)
+        model = enumerate_worlds(table)
+        shared = theorem_suite(model).statements["stmt2"]
+        witness = model.find(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
+        hand_built = WorldModel(
+            model.worlds - {witness}, table, model.epsilon, model.frame
+        )
+        own = theorem_suite(hand_built).statements["stmt2"]
+        assert [str(w) for w in shared.witnesses] == ["(L1,R2,+,+)", "(L1,R2,-,+)"]
+        assert [str(w) for w in own.witnesses] == ["(L1,R2,-,+)"]
+        assert information_flow(hand_built).reports["f_of_L1"] == own
+        # an equal but distinct world set is hand-built too: worlds compare
+        # by their coordinates, so these carry other probabilities
+        relabelled = frozenset(
+            World(w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, 0.5)
+            for w in model.worlds
+        )
+        assert relabelled == model.worlds
+        copied = WorldModel(relabelled, table, model.epsilon, model.frame)
+        own = theorem_suite(copied).statements["stmt2"]
+        assert own == shared
+        assert [w.probability for w in own.witnesses] == [0.5, 0.5]
+
+    def test_free_choice_violation_raises_on_every_call(self, canonical_table):
+        # the (L1, R2) row sits between the two thresholds: possible at
+        # 1e-9, empty at 1e-3
+        entries = dict(canonical_table.entries)
+        for lo, ro in itertools.product(Outcome, Outcome):
+            entries[(Setting.L1, Setting.R2, lo, ro)] = 1e-4
+        table = JointProbabilityTable(entries)
+        message = r"\(L1, R2\) admit no outcome with probability above 0\.001"
+        for _ in range(3):
+            assert len(enumerate_worlds(table, 1e-9)) == 13
+            for frame in FrameOrdering:
+                with pytest.raises(InconsistentModelError, match=message):
+                    enumerate_worlds(table, 1e-3, frame)
+            with pytest.raises(InconsistentModelError, match=message):
+                frame_comparison(table, 1e-3)
+
+
+def sweep_op(table, frame, locality):
+    """What one family-sweep op runs on a table."""
+    model = enumerate_worlds(table, 1e-9, frame)
+    return (
+        model,
+        theorem_suite(model, locality),
+        information_flow(model, locality),
+        frame_comparison(table, 1e-9),
+        lhv_feasibility(table, 1e-9),
+    )
+
+
+class TestSharingTripwires:
+    @pytest.mark.parametrize("frame", list(FrameOrdering))
+    @pytest.mark.parametrize(
+        "locality, calls", [(LOC1, 6), (LIGHT_CONE, 9)], ids=["loc1", "lightcone"]
+    )
+    def test_eval_model_calls_per_sweep_op(
+        self, canonical_pair, monkeypatch, frame, locality, calls
+    ):
+        # the suite of the op's frame and locality is evaluated once and
+        # read again by the flow; under LOC1 the frame comparison reads it
+        # too and adds the other frame's suite
+        seen = []
+
+        def counting(model, formula, locality):
+            seen.append(formula)
+            return eval_model(model, formula, locality)
+
+        # analysis binds eval_model at import, so both names are patched
+        monkeypatch.setattr(semantics, "eval_model", counting)
+        monkeypatch.setattr(analysis, "eval_model", counting)
+        sweep_op(probability_table(*canonical_pair), frame, locality)
+        assert len(seen) == calls
+
+    def test_table_is_freed_without_the_cycle_collector(self, canonical_pair):
+        # the memo holds world sets and reports, nothing that refers back
+        # to the table, so reference counting alone frees it
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            table = probability_table(*canonical_pair)
+            for frame in FrameOrdering:
+                for locality in LocalityCondition:
+                    sweep_op(table, frame, locality)
+            ref = weakref.ref(table)
+            del table
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDeterministicStrategy:
@@ -466,14 +624,53 @@ def uniform_support_table(row_masks):
     return JointProbabilityTable(dict(zip(CELLS, probabilities)))
 
 
+@functools.cache
+def hardy_patterns():
+    """The row masks of every support pattern that satisfies the Hardy
+    constraints.  A world model depends only on which cells are possible:
+    each of the 4 setting pairs has 15 non-empty supports, 15**4 patterns."""
+    return tuple(
+        row_masks
+        for row_masks in itertools.product(range(1, 16), repeat=4)
+        if verify_hardy_constraints(uniform_support_table(row_masks)).satisfied
+    )
+
+
+def signals_in_support(row_masks):
+    """Whether some party's set of possible outcomes changes with the far
+    choice.  Bits 0..3 of a row are (+,+), (+,-), (-,+), (-,-)."""
+    def left(mask):
+        return (bool(mask & 0b0011), bool(mask & 0b1100))
+
+    def right(mask):
+        return (bool(mask & 0b0101), bool(mask & 0b1010))
+
+    l1r1, l1r2, l2r1, l2r2 = row_masks
+    return not (
+        left(l1r1) == left(l1r2)
+        and left(l2r1) == left(l2r2)
+        and right(l1r1) == right(l2r1)
+        and right(l1r2) == right(l2r2)
+    )
+
+
 class TestCensus:
     def test_every_hardy_pattern_is_lhv_infeasible(self):
-        # a world model depends only on which cells are possible: each of
-        # the 4 setting pairs has 15 non-empty supports, 15**4 patterns
-        hardy = 0
-        for row_masks in itertools.product(range(1, 16), repeat=4):
+        assert len(hardy_patterns()) == 1568
+        for row_masks in hardy_patterns():
             table = uniform_support_table(row_masks)
-            if verify_hardy_constraints(table).satisfied:
-                hardy += 1
-                assert not lhv_feasibility(table).feasible, row_masks
-        assert hardy == 1568
+            assert not lhv_feasibility(table).feasible, row_masks
+
+    def test_flow_over_the_hardy_patterns(self):
+        # LOC1, left-first: every Hardy pattern whose supports do not signal
+        # is flow-dependent; 672 of the signalling ones are not
+        quiet, signalling, independent = 0, 0, 0
+        for row_masks in hardy_patterns():
+            flow = information_flow(enumerate_worlds(uniform_support_table(row_masks)))
+            if signals_in_support(row_masks):
+                signalling += 1
+                independent += not flow.dependent
+            else:
+                quiet += 1
+                assert flow.dependent, row_masks
+        assert (quiet, signalling, independent) == (40, 1528, 672)

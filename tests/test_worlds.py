@@ -1,8 +1,9 @@
 import pytest
 
+from hardyworlds import worlds
 from hardyworlds.errors import DomainError, InconsistentModelError
 from hardyworlds.labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
-from hardyworlds.quantum import JointProbabilityTable
+from hardyworlds.quantum import JointProbabilityTable, probability_table
 from hardyworlds.worlds import World, enumerate_worlds
 
 
@@ -85,6 +86,30 @@ class TestEnumerateWorlds:
         with pytest.raises(DomainError):
             enumerate_worlds(canonical_table, epsilon=epsilon)
 
+    def test_worlds_are_built_once_per_table_and_epsilon(
+        self, canonical_pair, monkeypatch
+    ):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return World(*args, **kwargs)
+
+        monkeypatch.setattr(worlds, "World", counting)
+        table = probability_table(*canonical_pair)
+        left = enumerate_worlds(table, 1e-9, FrameOrdering.LEFT_BEFORE_RIGHT)
+        right = enumerate_worlds(table, 1e-9, FrameOrdering.RIGHT_BEFORE_LEFT)
+        assert len(built) == 13
+        assert right.worlds is left.worlds
+        assert right.frame is FrameOrdering.RIGHT_BEFORE_LEFT
+        assert enumerate_worlds(table, 1e-3).worlds is not left.worlds
+        assert len(built) == 26
+        assert enumerate_worlds(table, 1e-9).worlds is left.worlds
+        # an equal table keeps its own world sets
+        copy = JointProbabilityTable(table.entries)
+        assert enumerate_worlds(copy).worlds == left.worlds
+        assert len(built) == 39
+
     def test_degenerate_pair_rejected(self, canonical_table):
         entries = dict(canonical_table.entries)
         for lo in (Outcome.PLUS, Outcome.MINUS):
@@ -93,6 +118,21 @@ class TestEnumerateWorlds:
         table = JointProbabilityTable(entries)
         with pytest.raises(InconsistentModelError, match="free-choice"):
             enumerate_worlds(table)
+
+    def test_first_empty_pair_is_reported(self, uniform_table):
+        # rows are checked in SETTING_PAIRS order, so of two empty rows the
+        # earlier one is named
+        entries = dict(uniform_table.entries)
+        for ls, rs in SETTING_PAIRS[1:3]:
+            for lo in (Outcome.PLUS, Outcome.MINUS):
+                for ro in (Outcome.PLUS, Outcome.MINUS):
+                    entries[(ls, rs, lo, ro)] = 0.0
+        with pytest.raises(InconsistentModelError) as raised:
+            enumerate_worlds(JointProbabilityTable(entries))
+        assert str(raised.value) == (
+            "free-choice violation: settings (L1, R2) admit no outcome with "
+            "probability above 1e-09"
+        )
 
     def test_frame_is_recorded(self, canonical_table):
         model = enumerate_worlds(
