@@ -12,12 +12,12 @@ shared consequent speaks solely about the right region, so the pair doubles
 as a probe of whether a statement about one region can depend on the
 faraway choice.
 
-Each catalogued verdict is evaluated once per table, epsilon, frame and
-locality, and kept in the table's memo beside the world set it was
-evaluated on.  The suite, the flow and the frame comparison of one table
-read it from there.  Only a model that holds the very world set
-``enumerate_worlds`` built for its table shares these verdicts; a
-hand-built model is evaluated afresh.
+Each statement changes only the right choice, so its verdict consults the
+frame and locality through fixed[R] alone (see ``semantics``).  The table's
+memo keeps it once per epsilon, statement and value of that bit, beside the
+world set; the suite, flow and frame comparison read it there under their
+own labels.  A hand-built model, whose world set is not the one
+``enumerate_worlds`` built for its table, is evaluated afresh.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
 from .quantum import CELLS, JointProbabilityTable
 from .records import Record
-from .semantics import LocalityCondition, TruthReport, eval_world, eval_model
+from .semantics import (
+    LocalityCondition, TruthReport, changed_regions, eval_model, eval_world, fixed,
+)
 from .worlds import EPSILON_DEFAULT, World, WorldModel, enumerate_worlds
 
 SR_TEXT = "(R2 & R2+) -> (R1 []-> R1-)"
@@ -87,6 +89,12 @@ def catalog() -> FormulaCatalog:
 
 
 @cache
+def _statements_with_regions() -> dict[str, tuple[Formula, tuple[Region, ...]]]:
+    """Each catalogued statement and the regions whose ``fixed`` bit it consults."""
+    return {name: (f, changed_regions(f)) for name, f in catalog().statements().items()}
+
+
+@cache
 def _divergence_formula() -> Formula:
     return parse(DIVERGENCE_TEXT)
 
@@ -115,20 +123,27 @@ class SuiteReport(Record):
 def _catalogued_reports(
     model: WorldModel, locality: LocalityCondition, names: tuple[str, ...]
 ) -> list[TruthReport]:
-    """The reports of the named catalogued statements on ``model``: from the
-    table's memo when ``model`` holds the table's own world set for its
-    epsilon, else evaluated afresh.  The memo keeps reports, never a model,
-    so it refers back to nothing."""
+    """The named catalogued statements' reports on ``model``, labelled with
+    ``locality`` and its frame.  The table's memo keys them by epsilon,
+    statement and the ``fixed`` bits it consults, and serves only a model
+    that holds the table's own world set; else they are evaluated afresh.
+    The memo keeps reports, never a model, so it refers back to nothing."""
     memo = model.table._memo
     if memo.get(model.epsilon) is not model.worlds:
         memo = {}
-    keys = [(model.epsilon, model.frame, locality, name) for name in names]
-    missing = [(key, name) for key, name in zip(keys, names) if key not in memo]
-    if missing:
-        shapes = catalog()
-        for key, name in missing:
-            memo[key] = eval_model(model, getattr(shapes, name), locality)
-    return [memo[key] for key in keys]
+    consulted = _statements_with_regions()
+    reports = []
+    for name in names:
+        formula, regions = consulted[name]
+        key = (model.epsilon, name, tuple(fixed(model.frame, locality, r) for r in regions))
+        report = memo.get(key)
+        if report is None:
+            report = memo[key] = eval_model(model, formula, locality)
+        elif report.locality is not locality or report.frame is not model.frame:
+            report = TruthReport(report.formula, report.holds, report.witnesses,
+                                 locality, model.frame, report.vacuous_flags)
+        reports.append(report)
+    return reports
 
 
 def theorem_suite(
@@ -234,41 +249,30 @@ class DivergenceExample(Record):
 
 
 class ComparisonReport(Record):
-    """Statement suites under both frames and both locality policies."""
+    """Statement suites under both frames and both locality policies, the
+    regions X whose fixed[X] each statement consults (``rests_on``), and
+    whether its verdict differs between the two LOC1 frames (``flips``)."""
 
     suites: Mapping[str, SuiteReport]
     divergence: DivergenceExample | None
-    stmt1_frame_dependent: bool
+    rests_on: Mapping[str, tuple[Region, ...]]
+    flips: Mapping[str, bool]
 
     def __init__(
         self,
         suites: Mapping[str, SuiteReport],
         divergence: DivergenceExample | None,
-        stmt1_frame_dependent: bool,
+        rests_on: Mapping[str, tuple[Region, ...]],
+        flips: Mapping[str, bool],
     ) -> None:
         object.__setattr__(self, "suites", suites)
         object.__setattr__(self, "divergence", divergence)
-        object.__setattr__(self, "stmt1_frame_dependent", stmt1_frame_dependent)
+        object.__setattr__(self, "rests_on", rests_on)
+        object.__setattr__(self, "flips", flips)
 
-
-def _as_light_cone(suite: SuiteReport) -> SuiteReport:
-    """The same verdicts, witnesses and vacuity flags, labelled light-cone."""
-    light_cone = LocalityCondition.LIGHT_CONE
-    return SuiteReport(
-        statements={
-            name: TruthReport(
-                formula=report.formula,
-                holds=report.holds,
-                witnesses=report.witnesses,
-                locality=light_cone,
-                frame=report.frame,
-                vacuous_flags=report.vacuous_flags,
-            )
-            for name, report in suite.statements.items()
-        },
-        locality=light_cone,
-        frame=suite.frame,
-    )
+    @property
+    def stmt1_frame_dependent(self) -> bool:
+        return self.flips["stmt1"]
 
 
 def frame_comparison(
@@ -277,49 +281,34 @@ def frame_comparison(
 ) -> ComparisonReport:
     """Evaluate the suite under LOC1 in both frames and under light-cone.
 
-    The light-cone suite is frame independent and is reported on the
-    left-first model.  There it equals the LOC1 left-first suite: every
-    catalogued counterfactual changes the right choice, and LOC1 in the
-    left-first frame then holds the earlier left outcome fixed, exactly as
-    the light-cone policy does.  So that suite is evaluated once and
-    relabelled; frame dependence can show only in the right-first suite.
-    Both models come from ``enumerate_worlds``, so they share the table's
-    world set, and each suite reuses any verdict already evaluated on it.
-    When the world (L2, R1, +, -) is possible, the report also carries the
-    left-side counterfactual that separates the two policies at that world.
+    Every catalogued verdict rests on fixed[R] alone, which LOC1 sets in
+    the left-first frame and clears in the right-first one, so ``flips``
+    compares those two suites.  The light-cone policy sets fixed[R] too, so
+    its suite, on the left-first model, reads the LOC1 left-first verdicts
+    from the table's memo.  When the world (L2, R1, +, -) is possible, the
+    report also carries the left-side counterfactual that separates the
+    two policies at that world.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
     model_r = enumerate_worlds(table, epsilon, FrameOrdering.RIGHT_BEFORE_LEFT)
-    loc1_l_first = theorem_suite(model_l, LocalityCondition.LOC1)
     suites = {
-        LOC1_L_FIRST: loc1_l_first,
+        LOC1_L_FIRST: theorem_suite(model_l, LocalityCondition.LOC1),
         LOC1_R_FIRST: theorem_suite(model_r, LocalityCondition.LOC1),
-        LIGHT_CONE_KEY: _as_light_cone(loc1_l_first),
+        LIGHT_CONE_KEY: theorem_suite(model_l, LocalityCondition.LIGHT_CONE),
     }
     divergence: DivergenceExample | None = None
     pivot = model_l.find(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
     if pivot is not None:
         formula = _divergence_formula()
-        divergence = DivergenceExample(
-            formula=formula,
-            world=pivot,
-            results={
-                LOC1_L_FIRST: eval_world(
-                    model_l, pivot, formula, LocalityCondition.LOC1
-                ),
-                LIGHT_CONE_KEY: eval_world(
-                    model_l, pivot, formula, LocalityCondition.LIGHT_CONE
-                ),
-            },
-        )
-    stmt1_frame_dependent = (
-        suites[LOC1_L_FIRST].statements["stmt1"].holds
-        != suites[LOC1_R_FIRST].statements["stmt1"].holds
-    )
+        results = {key: eval_world(model_l, pivot, formula, suites[key].locality)
+                   for key in (LOC1_L_FIRST, LIGHT_CONE_KEY)}
+        divergence = DivergenceExample(formula=formula, world=pivot, results=results)
+    l_first, r_first = suites[LOC1_L_FIRST].statements, suites[LOC1_R_FIRST].statements
     return ComparisonReport(
         suites=suites,
         divergence=divergence,
-        stmt1_frame_dependent=stmt1_frame_dependent,
+        rests_on={name: regions for name, (_, regions) in _statements_with_regions().items()},
+        flips={name: l_first[name].holds != r_first[name].holds for name in l_first},
     )
 
 

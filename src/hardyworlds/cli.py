@@ -169,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-
-
 class UsageError(Exception):
     pass
 
@@ -371,6 +369,10 @@ def _frames(args: argparse.Namespace) -> Result:
             "results": dict(div.results),
         },
         "stmt1_frame_dependent": comparison.stmt1_frame_dependent,
+        "protection": {
+            name: {"rests_on": [r.value for r in regions], "flips": comparison.flips[name]}
+            for name, regions in comparison.rests_on.items()
+        },
     }
     lines: list[str] = []
     checks: dict[str, bool] = {}

@@ -77,9 +77,6 @@ class FrameOrdering(enum.Enum):
             return Region.LEFT
         return Region.RIGHT
 
-    def is_earlier(self, region: Region) -> bool:
-        return self.earlier is region
-
     def __str__(self) -> str:
         return self.value
 

@@ -4,20 +4,20 @@ Accessibility
 -------------
 Evaluating "had choice e been made, C would hold" at a world w picks out the
 worlds accessible from w.  If w already performs e, the only accessible
-world is w itself.  Otherwise accessible worlds are exactly those that
+world is w itself.  Otherwise, with X the region of e, they are exactly
+the worlds that
 
-  (i)   perform e in e's region,
+  (i)   perform e in X,
   (ii)  keep the other region's choice as it is in w, and
-  (iii) protect the other region's outcome according to the locality policy.
+  (iii) keep the other region's outcome as it is in w if fixed[X].
 
-Under LOC1 the other region's outcome is held fixed precisely when that
-region is earlier than e's region in the model's frame; a later region is
-left free to vary.  Under the light-cone policy the other region's outcome
-is held fixed regardless of frame, which never enlarges and may shrink the
-LOC1 set.  The two policies coincide whenever the changed choice lies in the
-later region: a right-choice change under LOC1 in the left-first frame holds
-the left outcome fixed, just as the light-cone policy does, so they can
-differ only on changes made in the earlier region.
+fixed[X] (``fixed``) is all that accessibility asks of the frame and the
+locality policy: when the choice in X changes, is the other region's
+outcome held fixed?  LOC1 holds it fixed when the other region is earlier,
+so it sets fixed[R] alone in the left-first frame and fixed[L] alone in the
+right-first frame; the light-cone policy sets both.  A verdict therefore
+depends on frame and locality only through the bits of the regions its
+counterfactuals change (``changed_regions``).
 
 The counterfactual is true at w when its consequent holds in every
 accessible world, false when some accessible world violates it, and vacuous
@@ -43,6 +43,7 @@ from .formulas import (
     SettingAtom,
     pretty_print,
     require_entails_free,
+    subformulas,
 )
 from .labels import FrameOrdering, Region, Setting
 from .records import Record
@@ -131,6 +132,19 @@ class TruthReport(Record):
         return pretty_print(self.formula)
 
 
+def fixed(frame: FrameOrdering, locality: LocalityCondition, region: Region) -> bool:
+    """``fixed[region]``: is the other region's outcome held fixed when the
+    choice in ``region`` changes?"""
+    return locality is LocalityCondition.LIGHT_CONE or frame.earlier is region.other
+
+
+def changed_regions(formula: Formula) -> tuple[Region, ...]:
+    """The regions whose choice some counterfactual in ``formula`` changes,
+    in ``Region`` order: the only ``fixed`` bits its verdict consults."""
+    found = [f for f in subformulas(formula) if isinstance(f, Counterfactual)]
+    return tuple(r for r in Region if any(f.antecedent.region is r for f in found))
+
+
 def accessible_worlds(
     model: WorldModel,
     world: World,
@@ -149,9 +163,7 @@ def accessible_worlds(
             worlds=frozenset({world}),
         )
     other = region.other
-    protect_other = (
-        locality is LocalityCondition.LIGHT_CONE or model.frame.is_earlier(other)
-    )
+    protect_other = fixed(model.frame, locality, region)
     members = frozenset(
         w
         for w in model.worlds

@@ -47,9 +47,9 @@ from hardyworlds.quantum import (
     verify_hardy_constraints,
 )
 from hardyworlds.errors import InconsistentModelError
-from hardyworlds.semantics import LocalityCondition, eval_model
+from hardyworlds.semantics import LocalityCondition, changed_regions, eval_model, fixed
 from hardyworlds.worlds import World, WorldModel, enumerate_worlds
-from oracles import lhv_by_enumeration
+from oracles import lhv_by_enumeration, random_formula
 
 LOC1 = LocalityCondition.LOC1
 LIGHT_CONE = LocalityCondition.LIGHT_CONE
@@ -275,7 +275,21 @@ def free_choice_table(zero_pattern, on_threshold, positives, epsilon, order):
     return random_support_table(zero_pattern, on_threshold, positives, epsilon, order)
 
 
+def hand_built(model):
+    """The same model over an equal but distinct world set: it reads nothing
+    from the table's memo."""
+    return WorldModel(frozenset(set(model.worlds)), model.table, model.epsilon, model.frame)
+
+
+def evidence(report):
+    """What a verdict says, without its frame and locality labels."""
+    return report.holds, report.witnesses, report.vacuous_flags
+
+
 class TestLightConeSuiteAgainstEvaluation:
+    # the light-cone suite sets fixed[R] as LOC1 does in the left-first
+    # frame, so it is read from the LOC1 left-first entries of the memo;
+    # both must equal a fresh light-cone evaluation
     @settings(max_examples=300, deadline=None)
     @given(**RANDOM_SUPPORT_ARGS)
     def test_random_zero_patterns(
@@ -285,8 +299,14 @@ class TestLightConeSuiteAgainstEvaluation:
             zero_pattern, on_threshold, positives, epsilon, order
         )
         model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
-        expected = theorem_suite(model_l, LIGHT_CONE)
-        assert frame_comparison(table, epsilon).suites[LIGHT_CONE_KEY] == expected
+        loc1_l_first = theorem_suite(model_l, LOC1).statements
+        suite = frame_comparison(table, epsilon).suites[LIGHT_CONE_KEY]
+        expected = catalogued_reports(hand_built(model_l), LIGHT_CONE)
+        assert suite.statements == expected
+        assert suite.locality is LIGHT_CONE
+        assert suite.frame is FrameOrdering.LEFT_BEFORE_RIGHT
+        for name, report in expected.items():
+            assert evidence(loc1_l_first[name]) == evidence(report)
 
     def test_vacuous_flags_are_kept(self, uniform_table):
         # under (L2, R1) the left outcome is always -, so switching R2 to R1
@@ -299,7 +319,66 @@ class TestLightConeSuiteAgainstEvaluation:
         table = JointProbabilityTable(entries)
         suite = frame_comparison(table).suites[LIGHT_CONE_KEY]
         assert suite.statements["stmt3"].vacuous_flags
-        assert suite == theorem_suite(enumerate_worlds(table), LIGHT_CONE)
+        expected = catalogued_reports(hand_built(enumerate_worlds(table)), LIGHT_CONE)
+        assert suite.statements == expected
+
+
+PAIRS = [(frame, locality) for frame in FrameOrdering for locality in LocalityCondition]
+
+
+def key(formula, frame, locality):
+    """The ``fixed`` bits of the regions the formula's counterfactuals change."""
+    return tuple(fixed(frame, locality, region) for region in changed_regions(formula))
+
+
+class TestProtectionKey:
+    def test_fixed_bits(self):
+        bits = {
+            (frame, locality): (fixed(frame, locality, Region.LEFT),
+                                fixed(frame, locality, Region.RIGHT))
+            for frame, locality in PAIRS
+        }
+        assert bits == {
+            (FrameOrdering.LEFT_BEFORE_RIGHT, LOC1): (False, True),
+            (FrameOrdering.RIGHT_BEFORE_LEFT, LOC1): (True, False),
+            (FrameOrdering.LEFT_BEFORE_RIGHT, LIGHT_CONE): (True, True),
+            (FrameOrdering.RIGHT_BEFORE_LEFT, LIGHT_CONE): (True, True),
+        }
+
+    def test_changed_regions(self):
+        for formula in catalog().statements().values():
+            assert changed_regions(formula) == (Region.RIGHT,)
+        assert changed_regions(parse(DIVERGENCE_TEXT)) == (Region.LEFT,)
+        assert changed_regions(parse("L1 & R2+")) == ()
+        both = parse("R2 => (R1 []-> (L1 []-> L1+))")
+        assert changed_regions(both) == (Region.LEFT, Region.RIGHT)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**RANDOM_SUPPORT_ARGS, seed=st.integers(0, 2**32 - 1))
+    def test_equal_keys_give_equal_verdicts(
+        self, zero_pattern, on_threshold, positives, epsilon, order, seed
+    ):
+        table = free_choice_table(zero_pattern, on_threshold, positives, epsilon, order)
+        formula = random_formula(random.Random(seed), depth=4, allow_entails=True)
+        verdicts = {}
+        for frame, locality in PAIRS:
+            report = eval_model(enumerate_worlds(table, epsilon, frame), formula, locality)
+            verdicts.setdefault(key(formula, frame, locality), []).append(evidence(report))
+        for same_key in verdicts.values():
+            assert all(v == same_key[0] for v in same_key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**RANDOM_SUPPORT_ARGS, pairs=st.permutations(PAIRS))
+    def test_memo_reads_equal_fresh_evaluation(
+        self, zero_pattern, on_threshold, positives, epsilon, order, pairs
+    ):
+        # whichever pair fills an entry first, every pair reads its own labels
+        table = free_choice_table(zero_pattern, on_threshold, positives, epsilon, order)
+        for frame, locality in pairs:
+            model = enumerate_worlds(table, epsilon, frame)
+            suite = theorem_suite(model, locality)
+            assert suite.statements == catalogued_reports(hand_built(model), locality)
+            assert (suite.frame, suite.locality) == (frame, locality)
 
 
 def fresh(table):
@@ -411,14 +490,14 @@ def sweep_op(table, frame, locality):
 class TestSharingTripwires:
     @pytest.mark.parametrize("frame", list(FrameOrdering))
     @pytest.mark.parametrize(
-        "locality, calls", [(LOC1, 6), (LIGHT_CONE, 9)], ids=["loc1", "lightcone"]
+        "locality, calls", [(LOC1, 6), (LIGHT_CONE, 6)], ids=["loc1", "lightcone"]
     )
     def test_eval_model_calls_per_sweep_op(
         self, canonical_pair, monkeypatch, frame, locality, calls
     ):
-        # the suite of the op's frame and locality is evaluated once and
-        # read again by the flow; under LOC1 the frame comparison reads it
-        # too and adds the other frame's suite
+        # every catalogued verdict rests on fixed[R]: the op's suite sets it
+        # or clears it, the flow reads that suite again, and the frame
+        # comparison reads it and adds the other value of the bit
         seen = []
 
         def counting(model, formula, locality):
@@ -430,6 +509,19 @@ class TestSharingTripwires:
         monkeypatch.setattr(analysis, "eval_model", counting)
         sweep_op(probability_table(*canonical_pair), frame, locality)
         assert len(seen) == calls
+
+    def test_memo_holds_six_reports_per_epsilon(self, canonical_pair):
+        # three statements times the two values of fixed[R]
+        table = probability_table(*canonical_pair)
+        for epsilon in (1e-9, 1e-3):
+            for frame, locality in PAIRS:
+                model = enumerate_worlds(table, epsilon, frame)
+                theorem_suite(model, locality)
+                information_flow(model, locality)
+            frame_comparison(table, epsilon)
+        for epsilon in (1e-9, 1e-3):
+            reports = [k for k in table._memo if isinstance(k, tuple) and k[0] == epsilon]
+            assert 0 < len(reports) <= 6
 
     def test_table_is_freed_without_the_cycle_collector(self, canonical_pair):
         # the memo holds world sets and reports, nothing that refers back

@@ -297,6 +297,23 @@ class TestFrames:
         suites = payload["suites"]
         assert suites["loc1-l-first"]["statements"]["stmt1"]["holds"] is True
         assert suites["loc1-r-first"]["statements"]["stmt1"]["holds"] is False
+        # every catalogued verdict rests on fixed[R]; stmt1 and stmt3 flip with it
+        assert payload["protection"] == {
+            "stmt1": {"rests_on": ["R"], "flips": True},
+            "stmt2": {"rests_on": ["R"], "flips": False},
+            "stmt3": {"rests_on": ["R"], "flips": True},
+        }
+
+    @pytest.mark.parametrize("family", ["0.01", "0.2", "0.45"])
+    def test_flips_compare_the_two_loc1_frames(self, capsys, family):
+        _, out, _ = run_cli(capsys, "frames", "--family", family, "--format", "json")
+        payload = json.loads(out)
+        l_first, r_first = (
+            payload["suites"][key]["statements"] for key in ("loc1-l-first", "loc1-r-first")
+        )
+        for name, entry in payload["protection"].items():
+            assert entry["flips"] == (l_first[name]["holds"] != r_first[name]["holds"])
+        assert payload["protection"]["stmt1"]["flips"] == payload["stmt1_frame_dependent"]
 
 
 class TestLhv:

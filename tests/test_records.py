@@ -91,7 +91,12 @@ SAMPLES = {
         "world": WORLD,
         "results": {"loc1-l-first": True},
     },
-    ComparisonReport: {"suites": {}, "divergence": None, "stmt1_frame_dependent": False},
+    ComparisonReport: {
+        "suites": {},
+        "divergence": None,
+        "rests_on": {"stmt1": (Region.RIGHT,)},
+        "flips": {"stmt1": False},
+    },
     DeterministicStrategy: {
         "on_l1": Outcome.PLUS,
         "on_l2": Outcome.MINUS,
