@@ -54,18 +54,6 @@ class FormulaCatalog(Record):
     stmt3: Formula
     right_region_statement: Formula
 
-    def __init__(
-        self,
-        stmt1: Formula,
-        stmt2: Formula,
-        stmt3: Formula,
-        right_region_statement: Formula,
-    ) -> None:
-        object.__setattr__(self, "stmt1", stmt1)
-        object.__setattr__(self, "stmt2", stmt2)
-        object.__setattr__(self, "stmt3", stmt3)
-        object.__setattr__(self, "right_region_statement", right_region_statement)
-
     def statements(self) -> dict[str, Formula]:
         return {"stmt1": self.stmt1, "stmt2": self.stmt2, "stmt3": self.stmt3}
 
@@ -105,16 +93,6 @@ class SuiteReport(Record):
     statements: Mapping[str, TruthReport]
     locality: LocalityCondition
     frame: FrameOrdering
-
-    def __init__(
-        self,
-        statements: Mapping[str, TruthReport],
-        locality: LocalityCondition,
-        frame: FrameOrdering,
-    ) -> None:
-        object.__setattr__(self, "statements", statements)
-        object.__setattr__(self, "locality", locality)
-        object.__setattr__(self, "frame", frame)
 
     def truth_values(self) -> dict[str, bool]:
         return {name: report.holds for name, report in self.statements.items()}
@@ -184,23 +162,7 @@ class FlowReport(Record):
     dependent: bool
     witness: World | None
     reports: Mapping[str, TruthReport]
-    interpretation: tuple[str, str]
-
-    def __init__(
-        self,
-        f_of_L2: bool,
-        f_of_L1: bool,
-        dependent: bool,
-        witness: World | None,
-        reports: Mapping[str, TruthReport],
-        interpretation: tuple[str, str] = (READING_TRANSFER, READING_REFERENCE),
-    ) -> None:
-        object.__setattr__(self, "f_of_L2", f_of_L2)
-        object.__setattr__(self, "f_of_L1", f_of_L1)
-        object.__setattr__(self, "dependent", dependent)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reports", reports)
-        object.__setattr__(self, "interpretation", interpretation)
+    interpretation: tuple[str, str] = (READING_TRANSFER, READING_REFERENCE)
 
 
 def information_flow(
@@ -236,13 +198,6 @@ class DivergenceExample(Record):
     world: World
     results: Mapping[str, bool]
 
-    def __init__(
-        self, formula: Formula, world: World, results: Mapping[str, bool]
-    ) -> None:
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "world", world)
-        object.__setattr__(self, "results", results)
-
     @property
     def text(self) -> str:
         return pretty_print(self.formula)
@@ -257,18 +212,6 @@ class ComparisonReport(Record):
     divergence: DivergenceExample | None
     rests_on: Mapping[str, tuple[Region, ...]]
     flips: Mapping[str, bool]
-
-    def __init__(
-        self,
-        suites: Mapping[str, SuiteReport],
-        divergence: DivergenceExample | None,
-        rests_on: Mapping[str, tuple[Region, ...]],
-        flips: Mapping[str, bool],
-    ) -> None:
-        object.__setattr__(self, "suites", suites)
-        object.__setattr__(self, "divergence", divergence)
-        object.__setattr__(self, "rests_on", rests_on)
-        object.__setattr__(self, "flips", flips)
 
     @property
     def stmt1_frame_dependent(self) -> bool:
@@ -320,14 +263,6 @@ class DeterministicStrategy(Record):
     on_r1: Outcome
     on_r2: Outcome
 
-    def __init__(
-        self, on_l1: Outcome, on_l2: Outcome, on_r1: Outcome, on_r2: Outcome
-    ) -> None:
-        object.__setattr__(self, "on_l1", on_l1)
-        object.__setattr__(self, "on_l2", on_l2)
-        object.__setattr__(self, "on_r1", on_r1)
-        object.__setattr__(self, "on_r2", on_r2)
-
     @property
     def left_map(self) -> dict[Setting, Outcome]:
         return {Setting.L1: self.on_l1, Setting.L2: self.on_l2}
@@ -370,19 +305,7 @@ class FeasibilityReport(Record):
     feasible: bool
     excluded_strategies: tuple[tuple[DeterministicStrategy, str], ...]
     contradiction_trace: str
-    surviving_strategies: tuple[DeterministicStrategy, ...]
-
-    def __init__(
-        self,
-        feasible: bool,
-        excluded_strategies: tuple[tuple[DeterministicStrategy, str], ...],
-        contradiction_trace: str,
-        surviving_strategies: tuple[DeterministicStrategy, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "excluded_strategies", excluded_strategies)
-        object.__setattr__(self, "contradiction_trace", contradiction_trace)
-        object.__setattr__(self, "surviving_strategies", surviving_strategies)
+    surviving_strategies: tuple[DeterministicStrategy, ...] = ()
 
 
 _HARDY_ZERO_NAMES = {

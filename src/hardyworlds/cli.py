@@ -78,9 +78,8 @@ def _steps_value(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    source = common.add_mutually_exclusive_group()
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group()
     source.add_argument(
         "--model",
         default="canonical",
@@ -93,42 +92,47 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--file", metavar="PATH", help="shorthand for --model file:<path>"
     )
-    common.add_argument(
+    parser.add_argument(
         "--epsilon",
         type=_epsilon_value,
         default=EPSILON_DEFAULT,
         help=f"possibility threshold in (0, {EPSILON_MAX}) (default: {EPSILON_DEFAULT})",
     )
-    common.add_argument(
+    parser.add_argument(
         "--frame",
         choices=sorted(FRAMES),
         default="l-first",
         help="time order of the regions (default: l-first)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--locality",
         choices=sorted(LOCALITIES),
         default="loc1",
         help="outcome protection policy (default: loc1)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         dest="output_format",
         help="output format (default: text)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--strict",
         action="store_true",
         help="exit 1 when a check result is false",
     )
-    common.add_argument(
+    parser.add_argument(
         "--expect",
         metavar="PATH",
         help="file of name=true|false assertions; exit 1 on any mismatch",
     )
 
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is listed with its help text, but
+    only ``command``'s subparser gets its options, so a run builds the
+    options of the one command it runs."""
     parser = argparse.ArgumentParser(
         prog="hardyworlds",
         description=(
@@ -137,35 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    model_cmd = commands.add_parser("model", help="inspect the chosen model")
-    model_actions = model_cmd.add_subparsers(dest="action", required=True)
-    model_actions.add_parser("show", parents=[common], help="list the possible worlds")
-
-    check_cmd = commands.add_parser(
-        "check", parents=[common], help="evaluate one formula"
-    )
-    check_cmd.add_argument("formula", help="formula text, e.g. 'L2 => (R1 []-> R1-)'")
-
-    commands.add_parser("suite", parents=[common], help="run the statement suite")
-    commands.add_parser(
-        "flow", parents=[common], help="left-choice dependence of the right-region statement"
-    )
-    commands.add_parser(
-        "frames", parents=[common], help="compare frames and locality policies"
-    )
-    commands.add_parser(
-        "lhv", parents=[common], help="local deterministic strategy feasibility"
-    )
-    scan_cmd = commands.add_parser(
-        "hardy-scan", parents=[common], help="maximize h4 over the family"
-    )
-    scan_cmd.add_argument(
-        "--steps",
-        type=_steps_value,
-        default=1000,
-        help="grid steps, 10 to 1000000 (default: 1000)",
-    )
+    for name, (help_text, _, arguments) in COMMANDS.items():
+        subparser = commands.add_parser(name, help=help_text)
+        if name != command:
+            continue
+        if name == "model":
+            actions = subparser.add_subparsers(dest="action", required=True)
+            subparser = actions.add_parser("show", help="list the possible worlds")
+        _add_common_options(subparser)
+        for flags, options in arguments:
+            subparser.add_argument(*flags, **options)
     return parser
 
 
@@ -428,14 +413,23 @@ def _hardy_scan(args: argparse.Namespace) -> Result:
     return payload, lines, {}
 
 
+# name: (help text, run function, the arguments it adds to the common options)
 COMMANDS = {
-    "model": _model_show,
-    "check": _check,
-    "suite": _suite,
-    "flow": _flow,
-    "frames": _frames,
-    "lhv": _lhv,
-    "hardy-scan": _hardy_scan,
+    "model": ("inspect the chosen model", _model_show, ()),
+    "check": ("evaluate one formula", _check, (
+        (("formula",), {"help": "formula text, e.g. 'L2 => (R1 []-> R1-)'"}),
+    )),
+    "suite": ("run the statement suite", _suite, ()),
+    "flow": ("left-choice dependence of the right-region statement", _flow, ()),
+    "frames": ("compare frames and locality policies", _frames, ()),
+    "lhv": ("local deterministic strategy feasibility", _lhv, ()),
+    "hardy-scan": ("maximize h4 over the family", _hardy_scan, (
+        (("--steps",), {
+            "type": _steps_value,
+            "default": 1000,
+            "help": "grid steps, 10 to 1000000 (default: 1000)",
+        }),
+    )),
 }
 
 
@@ -459,6 +453,8 @@ def read_expectations(path: str) -> dict[str, bool]:
             raise UsageError(
                 f"{path}:{number}: expected 'name=true' or 'name=false', got {raw!r}"
             )
+        if name in expectations:
+            raise UsageError(f"{path}:{number}: check {name!r} is already expected")
         expectations[name] = value == "true"
     return expectations
 
@@ -479,13 +475,15 @@ def apply_expectations(
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         expectations = {} if args.expect is None else read_expectations(args.expect)
-        payload, lines, checks = COMMANDS[args.command](args)
+        payload, lines, checks = COMMANDS[args.command][1](args)
     except (FormulaError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

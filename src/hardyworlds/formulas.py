@@ -39,9 +39,6 @@ class SettingAtom(Record):
 
     setting: Setting
 
-    def __init__(self, setting: Setting) -> None:
-        object.__setattr__(self, "setting", setting)
-
 
 class OutcomeAtom(Record):
     """The named choice is performed and its region shows this outcome."""
@@ -49,43 +46,24 @@ class OutcomeAtom(Record):
     setting: Setting
     outcome: Outcome
 
-    def __init__(self, setting: Setting, outcome: Outcome) -> None:
-        object.__setattr__(self, "setting", setting)
-        object.__setattr__(self, "outcome", outcome)
-
 
 class Not(Record):
     operand: "Formula"
-
-    def __init__(self, operand: Formula) -> None:
-        object.__setattr__(self, "operand", operand)
 
 
 class And(Record):
     left: "Formula"
     right: "Formula"
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Or(Record):
     left: "Formula"
     right: "Formula"
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Implies(Record):
     left: "Formula"
     right: "Formula"
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Counterfactual(Record):
@@ -94,10 +72,6 @@ class Counterfactual(Record):
     antecedent: Setting
     consequent: "Formula"
 
-    def __init__(self, antecedent: Setting, consequent: Formula) -> None:
-        object.__setattr__(self, "antecedent", antecedent)
-        object.__setattr__(self, "consequent", consequent)
-
 
 class Entails(Record):
     """Model-level claim: every world satisfying the antecedent satisfies
@@ -105,10 +79,6 @@ class Entails(Record):
 
     antecedent: "Formula"
     consequent: "Formula"
-
-    def __init__(self, antecedent: Formula, consequent: Formula) -> None:
-        object.__setattr__(self, "antecedent", antecedent)
-        object.__setattr__(self, "consequent", consequent)
 
 
 Formula = Union[
@@ -120,11 +90,6 @@ class Token(Record):
     kind: str
     text: str
     position: int
-
-    def __init__(self, kind: str, text: str, position: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "position", position)
 
 
 _ATOM_RE = re.compile(r"[LR][12][+-]?")

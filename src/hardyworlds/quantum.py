@@ -271,27 +271,7 @@ class HardyConstraintReport(Record):
     nonvacuous: float
     epsilon: float
     satisfied: bool
-    failures: tuple[str, ...]
-
-    def __init__(
-        self,
-        h1_zero: float,
-        h2_zero: float,
-        h3_zero: float,
-        h4_positive: float,
-        nonvacuous: float,
-        epsilon: float,
-        satisfied: bool,
-        failures: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "h1_zero", h1_zero)
-        object.__setattr__(self, "h2_zero", h2_zero)
-        object.__setattr__(self, "h3_zero", h3_zero)
-        object.__setattr__(self, "h4_positive", h4_positive)
-        object.__setattr__(self, "nonvacuous", nonvacuous)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "satisfied", satisfied)
-        object.__setattr__(self, "failures", failures)
+    failures: tuple[str, ...] = ()
 
     @property
     def first_failure(self) -> str | None:

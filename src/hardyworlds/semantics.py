@@ -70,28 +70,12 @@ class AccessibleSet(Record):
     new_setting: Setting
     worlds: frozenset[World]
 
-    def __init__(
-        self,
-        source: World,
-        changed_region: Region,
-        new_setting: Setting,
-        worlds: frozenset[World],
-    ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "changed_region", changed_region)
-        object.__setattr__(self, "new_setting", new_setting)
-        object.__setattr__(self, "worlds", worlds)
-
 
 class VacuousFlag(Record):
     """A counterfactual whose accessible set came up empty at ``world``."""
 
     world: World
     counterfactual: Counterfactual
-
-    def __init__(self, world: World, counterfactual: Counterfactual) -> None:
-        object.__setattr__(self, "world", world)
-        object.__setattr__(self, "counterfactual", counterfactual)
 
     def describe(self) -> str:
         return f"{pretty_print(self.counterfactual)} at {self.world}"
@@ -109,23 +93,7 @@ class TruthReport(Record):
     witnesses: tuple[World, ...]
     locality: LocalityCondition
     frame: FrameOrdering
-    vacuous_flags: tuple[VacuousFlag, ...]
-
-    def __init__(
-        self,
-        formula: Formula,
-        holds: bool,
-        witnesses: tuple[World, ...],
-        locality: LocalityCondition,
-        frame: FrameOrdering,
-        vacuous_flags: tuple[VacuousFlag, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "locality", locality)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "vacuous_flags", vacuous_flags)
+    vacuous_flags: tuple[VacuousFlag, ...] = ()
 
     @property
     def text(self) -> str:

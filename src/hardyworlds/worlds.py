@@ -101,18 +101,6 @@ class WorldModel(Record):
     epsilon: float
     frame: FrameOrdering
 
-    def __init__(
-        self,
-        worlds: frozenset[World],
-        table: JointProbabilityTable,
-        epsilon: float,
-        frame: FrameOrdering,
-    ) -> None:
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "frame", frame)
-
     def sorted_worlds(self) -> list[World]:
         return sorted(self.worlds, key=lambda w: w.sort_key)
 

@@ -458,6 +458,16 @@ class TestExpectations:
         assert code == 2
         assert "expected 'name=true'" in err
 
+    def test_repeated_name(self, capsys, tmp_path):
+        # the later line must not silently win over the earlier one
+        path = tmp_path / "expect.txt"
+        path.write_text("holds=false\n# again\nholds = true\n")
+        code, out, err = run_cli(
+            capsys, "check", "L2 => ((R2 & R2+) -> (R1 []-> R1-))", "--expect", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:3: check 'holds' is already expected\n"
+
     def test_missing_expect_file(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--expect", "/nope/expect.txt")
         assert code == 2

@@ -67,3 +67,56 @@ def test_python_block_prints_its_comments(body):
 def test_command_line_exits_zero(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def readme_expect_names():
+    """The ``--expect`` names the README lists for each subcommand.
+
+    A name with a placeholder stands for one name per value: ``<stmt>``
+    ranges over the ``suite`` names, and any other placeholder over the
+    backquoted values in the parentheses that follow it in the bullet.
+    """
+    text = README.read_text(encoding="utf-8")
+    start = text.index("- `--expect <path>`")
+    section = text[start : text.index("have no checks.", start)]
+    bullets = re.findall(r"^  - `([^`]+)`: (.*?)(?=^  - |^$)", section, re.M | re.S)
+    raw = {
+        command: re.findall(r"`([^`]+)`(?: for [^(`]*\(([^)]*)\))?", " ".join(body.split()))
+        for command, body in bullets
+    }
+    suite = [name for name, _ in raw["suite"]]
+    documented = {}
+    for command, tokens in raw.items():
+        names = set()
+        for pattern, values in tokens:
+            for stmt in suite if "<stmt>" in pattern else [None]:
+                name = pattern.replace("<stmt>", stmt) if stmt else pattern
+                choices = re.findall(r"`([^`]+)`", values)
+                names |= {re.sub(r"<\w+>", c, name) for c in choices} or {name}
+        documented[command] = names
+    return documented
+
+
+# one canonical-model run of each subcommand
+CANONICAL_RUNS = {
+    "model": ["model", "show"],
+    "check": ["check", "L1"],
+    "suite": ["suite"],
+    "flow": ["flow"],
+    "frames": ["frames"],
+    "lhv": ["lhv"],
+    "hardy-scan": ["hardy-scan", "--steps", "100"],
+}
+
+
+def test_expect_names_match_each_subcommands_checks():
+    documented = readme_expect_names()
+    assert set(CANONICAL_RUNS) == set(cli.COMMANDS)
+    assert set(documented) == set(cli.COMMANDS) - {"model", "hardy-scan"}
+    assert "`model show` and `hardy-scan` have no checks." in README.read_text(
+        encoding="utf-8"
+    )
+    for command, argv in CANONICAL_RUNS.items():
+        args = cli.build_parser(command).parse_args(argv)
+        _, _, checks = cli.COMMANDS[command][1](args)
+        assert set(checks) == documented.get(command, set()), command

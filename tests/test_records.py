@@ -1,7 +1,10 @@
 """Every record class behaves as an immutable value: fields, defaults,
 equality, hashing and repr."""
 
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +310,66 @@ def test_truth_report_repr():
         "locality=<LocalityCondition.LOC1: 'loc1'>, "
         "frame=<FrameOrdering.LEFT_BEFORE_RIGHT: 'l-first'>, vacuous_flags=())"
     )
+
+
+WORLD_ARGS = tuple(SAMPLES[World].values())
+
+# And's constructor is built by Record, World's validates its arguments
+TYPE_ERRORS = {
+    "and-missing": (
+        lambda: And(ATOM),
+        "And.__init__() missing 1 required positional argument: 'right'",
+    ),
+    "and-extra": (
+        lambda: And(ATOM, ATOM, ATOM),
+        "And.__init__() takes 3 positional arguments but 4 were given",
+    ),
+    "and-keyword": (
+        lambda: And(ATOM, ATOM, colour=1),
+        "And.__init__() got an unexpected keyword argument 'colour'",
+    ),
+    "world-missing": (
+        lambda: World(*WORLD_ARGS[:-1]),
+        "World.__init__() missing 1 required positional argument: 'probability'",
+    ),
+    "world-extra": (
+        lambda: World(*WORLD_ARGS, 1),
+        "World.__init__() takes 6 positional arguments but 7 were given",
+    ),
+    "world-keyword": (
+        lambda: World(*WORLD_ARGS, colour=1),
+        "World.__init__() got an unexpected keyword argument 'colour'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TYPE_ERRORS)
+def test_constructor_type_errors(case):
+    call, message = TYPE_ERRORS[case]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_no_record_writes_a_constructor_that_only_sets_fields():
+    """Record builds those; a record's own ``__init__`` validates."""
+    package = Path(__file__).resolve().parent.parent / "src" / "hardyworlds"
+    records, setters_only = 0, []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or "Record" not in [
+                ast.unparse(base) for base in node.bases
+            ]:
+                continue
+            records += 1
+            setters = {
+                f"object.__setattr__(self, {st.target.id!r}, {st.target.id})"
+                for st in node.body
+                if isinstance(st, ast.AnnAssign)
+            }
+            for init in node.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__" and all(
+                    ast.unparse(st) in setters for st in init.body
+                ):
+                    setters_only.append(node.name)
+    assert records == len(RECORDS)
+    assert setters_only == []
