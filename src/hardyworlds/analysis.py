@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
-from .quantum import CELLS, JointProbabilityTable
+from .quantum import CELLS, HARDY_CELLS, JointProbabilityTable, check_epsilon, support
 from .records import Record
 from .semantics import (
     LocalityCondition, TruthReport, changed_regions, eval_model, eval_world, fixed,
@@ -263,28 +263,6 @@ class DeterministicStrategy(Record):
     on_r1: Outcome
     on_r2: Outcome
 
-    @property
-    def left_map(self) -> dict[Setting, Outcome]:
-        return {Setting.L1: self.on_l1, Setting.L2: self.on_l2}
-
-    @property
-    def right_map(self) -> dict[Setting, Outcome]:
-        return {Setting.R1: self.on_r1, Setting.R2: self.on_r2}
-
-    def outcome_for(self, setting: Setting) -> Outcome:
-        if setting.region is Region.LEFT:
-            return self.left_map[setting]
-        return self.right_map[setting]
-
-    def produces(
-        self, left_setting: Setting, right_setting: Setting,
-        left_outcome: Outcome, right_outcome: Outcome,
-    ) -> bool:
-        return (
-            self.outcome_for(left_setting) is left_outcome
-            and self.outcome_for(right_setting) is right_outcome
-        )
-
     def label(self) -> str:
         return (
             f"L1->{self.on_l1} L2->{self.on_l2} "
@@ -308,51 +286,38 @@ class FeasibilityReport(Record):
     surviving_strategies: tuple[DeterministicStrategy, ...] = ()
 
 
-_HARDY_ZERO_NAMES = {
-    (Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS): "h1",
-    (Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS): "h2",
-    (Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS): "h3",
-}
-
-
 def _lowest_index(mask: int) -> int:
     """The position, in CELLS order, of the first cell of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
 
 
 @cache
-def _cell_labels() -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _cell_labels() -> tuple[tuple[str, ...], tuple[str, ...], int]:
     """Each cell's probability text and the label that cites it as a zero,
-    in CELLS order.  Built on the first call, not at import."""
+    in CELLS order, and the mask of the Hardy-named zeros; bit i stands for
+    CELLS[i].  Built on the first call, not at import."""
     texts = tuple(f"P({ls}{lo},{rs}{ro} | {ls},{rs})" for ls, rs, lo, ro in CELLS)
+    zero_names = {cell: name for name, cell, must_be_zero in HARDY_CELLS if must_be_zero}
     zero_labels = tuple(
-        f"{_HARDY_ZERO_NAMES[key]}: {text} = 0"
-        if key in _HARDY_ZERO_NAMES
-        else f"{text} = 0"
+        f"{zero_names[key]}: {text} = 0" if key in zero_names else f"{text} = 0"
         for key, text in zip(CELLS, texts)
     )
-    return texts, zero_labels
+    named = sum(1 << CELLS.index(cell) for cell in zero_names)
+    return texts, zero_labels, named
 
 
 @cache
-def _strategy_masks() -> tuple[tuple[tuple[DeterministicStrategy, int, str], ...], int]:
+def _strategy_masks() -> tuple[tuple[DeterministicStrategy, int, str], ...]:
     """Each of the 16 strategies with the mask of the cells it produces and
-    its label, and the mask of the Hardy-named zeros; bit i stands for
-    CELLS[i].  Built on the first call, not at import."""
-    strategies = tuple(
-        DeterministicStrategy(*combo)
-        for combo in product(OUTCOMES, OUTCOMES, OUTCOMES, OUTCOMES)
-    )
-    entries = tuple(
-        (
-            strategy,
-            sum(1 << i for i, cell in enumerate(CELLS) if strategy.produces(*cell)),
-            strategy.label(),
-        )
-        for strategy in strategies
-    )
-    named = sum(1 << CELLS.index(key) for key in _HARDY_ZERO_NAMES)
-    return entries, named
+    its label; bit i stands for CELLS[i].  Built on the first call."""
+    entries = []
+    for combo in product(OUTCOMES, repeat=4):
+        outcome = dict(zip(Setting, combo))  # the fields follow Setting order
+        mask = sum(1 << i for i, (ls, rs, lo, ro) in enumerate(CELLS)
+                   if outcome[ls] is lo and outcome[rs] is ro)
+        strategy = DeterministicStrategy(*combo)
+        entries.append((strategy, mask, strategy.label()))
+    return tuple(entries)
 
 
 def lhv_feasibility(
@@ -360,11 +325,10 @@ def lhv_feasibility(
     epsilon: float = EPSILON_DEFAULT,
 ) -> FeasibilityReport:
     """Possibilistic check of the 16 local deterministic strategies."""
-    strategies, named = _strategy_masks()
-    cell_texts, zero_labels = _cell_labels()
-    # entries iterate in CELLS order, so cell i is bit i
-    zero = sum(1 << i for i, p in enumerate(table.entries.values()) if p <= epsilon)
-    positive = ((1 << len(CELLS)) - 1) & ~zero
+    strategies = _strategy_masks()
+    cell_texts, zero_labels, named = _cell_labels()
+    positive = support(table, check_epsilon(epsilon))
+    zero = ((1 << len(CELLS)) - 1) & ~positive
 
     def excluded_by(mask: int) -> str:
         # Hardy-named zeros first so canonical traces cite h1..h3

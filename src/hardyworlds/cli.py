@@ -18,6 +18,7 @@ from .quantum import (
     SCAN_STEPS_MAX,
     JointProbabilityTable,
     canonical_hardy_model,
+    check_epsilon,
     hardy_family,
     hardy_scan,
     probability_table,
@@ -56,14 +57,13 @@ def format_probability(value: float) -> str:
 
 def _epsilon_value(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < EPSILON_MAX:
+        return check_epsilon(float(text))
+    except DomainError:  # a ValueError too, so caught first
         raise argparse.ArgumentTypeError(
             f"epsilon must lie strictly in (0, {EPSILON_MAX})"
-        )
-    return value
+        ) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def _steps_value(text: str) -> int:
@@ -256,10 +256,8 @@ def _suite_json(suite: analysis.SuiteReport) -> Payload:
 
 
 def _strategy_json(strategy: analysis.DeterministicStrategy) -> dict[str, str]:
-    return {
-        setting.name: outcome.value
-        for setting, outcome in (strategy.left_map | strategy.right_map).items()
-    }
+    return {"L1": strategy.on_l1.value, "L2": strategy.on_l2.value,
+            "R1": strategy.on_r1.value, "R2": strategy.on_r2.value}
 
 
 # A command's payload, then its text lines and its checks, both read from the payload

@@ -75,10 +75,17 @@ class Counterfactual(Record):
 
 class Entails(Record):
     """Model-level claim: every world satisfying the antecedent satisfies
-    the consequent."""
+    the consequent.  Neither side may contain "=>", so the constructor
+    raises EntailmentNestingError, once per formula, for a nested one."""
 
     antecedent: "Formula"
     consequent: "Formula"
+
+    def __init__(self, antecedent: "Formula", consequent: "Formula") -> None:
+        require_entails_free(antecedent, "the antecedent of '=>'")
+        require_entails_free(consequent, "the consequent of '=>'")
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
 Formula = Union[
@@ -249,10 +256,8 @@ def require_entails_free(formula: Formula, what: str) -> None:
 
 
 def _check_structure(formula: Formula) -> Formula:
-    if isinstance(formula, Entails):
-        require_entails_free(formula.antecedent, "the antecedent of '=>'")
-        require_entails_free(formula.consequent, "the consequent of '=>'")
-    elif contains_entails(formula):
+    # an Entails checked its own sides when it was built
+    if not isinstance(formula, Entails) and contains_entails(formula):
         raise EntailmentNestingError("'=>' may only appear at the root of a formula")
     return formula
 

@@ -31,7 +31,8 @@ probabilities vanish identically in x:
 
 while h4 = P(L1+, R2+ | L1, R2) = (1-2x) x^2 / (1-x)^2 stays strictly
 positive, as does P(L2+, R2+ | L2, R2) = x^2 / (1-x).  These five facts are
-exactly what the possible-world analysis downstream consumes.  The canonical
+exactly what the possible-world analysis downstream consumes; ``HARDY_CELLS``
+lists their cells once, in that order.  The canonical
 model is the member x = 1/3, with amplitudes (1, 1, 1, 0)/sqrt(3) and
 h4 = 1/12.  ``hardy_scan`` maximizes h4 over x; it evaluates each member from
 checked float tuples through ``_born``, the Born sum behind every table cell.
@@ -61,6 +62,8 @@ from .labels import (
 )
 from .records import Record
 
+EPSILON_DEFAULT = 1e-9
+EPSILON_MAX = 0.1
 NORMALIZATION_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
 SCAN_STEPS_MAX = 1_000_000
@@ -75,6 +78,27 @@ CELLS: tuple[TableKey, ...] = tuple(
     product(LEFT_SETTINGS, RIGHT_SETTINGS, OUTCOMES, OUTCOMES)
 )
 _CELL_SET = frozenset(CELLS)
+
+# (name, cell, must be zero) for the Hardy conditions, in report order: the
+# three zeros, then the two cells that must be possible.  Which cells are
+# possible at epsilon is decided here alone, by check_epsilon and support.
+HARDY_CELLS: tuple[tuple[str, TableKey, bool], ...] = (
+    ("h1", (Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS), True),
+    ("h2", (Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS), True),
+    ("h3", (Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS), True),
+    ("h4", (Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS), False),
+    ("nonvacuous", (Setting.L2, Setting.R2, Outcome.PLUS, Outcome.PLUS), False),
+)
+
+
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon`` as a float, if 0 < epsilon < EPSILON_MAX; else DomainError."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < EPSILON_MAX:
+        raise DomainError(
+            f"epsilon must lie strictly in (0, {EPSILON_MAX}), got {epsilon!r}"
+        )
+    return epsilon
 
 
 def _as_complex_pair(vector: Sequence[complex], what: str) -> ComplexVector:
@@ -257,6 +281,12 @@ class JointProbabilityTable(Record):
                 )
 
 
+def support(table: JointProbabilityTable, epsilon: float) -> int:
+    """The cells possible at an ``epsilon`` that ``check_epsilon`` accepted:
+    bit i is set when CELLS[i], the table's i-th entry, is above it."""
+    return sum(1 << i for i, p in enumerate(table.entries.values()) if p > epsilon)
+
+
 class HardyConstraintReport(Record):
     """The three zeros and two strict positivities of a Hardy experiment.
 
@@ -368,41 +398,25 @@ def canonical_hardy_model() -> tuple[BipartiteState, ExperimentConfig]:
 
 
 def verify_hardy_constraints(
-    table: JointProbabilityTable, epsilon: float = 1e-9
+    table: JointProbabilityTable, epsilon: float = EPSILON_DEFAULT
 ) -> HardyConstraintReport:
     """Check the table against the Hardy conditions at threshold ``epsilon``.
 
     The zeros h1, h2, h3 must not exceed epsilon; h4 and the nonvacuity
-    probability P(L2+, R2+ | L2, R2) must strictly exceed it.
+    probability P(L2+, R2+ | L2, R2) must strictly exceed it (``HARDY_CELLS``).
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    h1 = table.prob(Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS)
-    h2 = table.prob(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS)
-    h3 = table.prob(Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS)
-    h4 = table.prob(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
-    nonvacuous = table.prob(Setting.L2, Setting.R2, Outcome.PLUS, Outcome.PLUS)
-    failures: list[str] = []
-    if h1 > epsilon:
-        failures.append("h1")
-    if h2 > epsilon:
-        failures.append("h2")
-    if h3 > epsilon:
-        failures.append("h3")
-    if not h4 > epsilon:
-        failures.append("h4")
-    if not nonvacuous > epsilon:
-        failures.append("nonvacuous")
+    epsilon = check_epsilon(epsilon)
+    possible = support(table, epsilon)
+    failures = tuple(
+        name
+        for name, cell, must_be_zero in HARDY_CELLS
+        if (possible >> CELLS.index(cell) & 1) == must_be_zero
+    )
     return HardyConstraintReport(
-        h1_zero=h1,
-        h2_zero=h2,
-        h3_zero=h3,
-        h4_positive=h4,
-        nonvacuous=nonvacuous,
+        *(table.entries[cell] for _, cell, _ in HARDY_CELLS),
         epsilon=epsilon,
         satisfied=not failures,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 

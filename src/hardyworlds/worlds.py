@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .errors import DomainError, InconsistentModelError
+from .errors import InconsistentModelError
 from .labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
-from .quantum import JointProbabilityTable
+from .quantum import EPSILON_DEFAULT, EPSILON_MAX  # re-exported
+from .quantum import JointProbabilityTable, check_epsilon, support
 from .records import Record
-
-EPSILON_DEFAULT = 1e-9
-EPSILON_MAX = 0.1
 
 
 class World(Record):
@@ -153,29 +151,21 @@ def enumerate_worlds(
     same set in a new model.  A table that violates free choice keeps
     nothing, so every call raises.
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < EPSILON_MAX:
-        raise DomainError(
-            f"epsilon must lie strictly in (0, {EPSILON_MAX}), got {epsilon!r}"
-        )
+    epsilon = check_epsilon(epsilon)
     memo = table._memo
     worlds = memo.get(epsilon)
     if worlds is None:
-        # entries iterate in CELLS order: cell i is bit i, and the four
-        # cells of setting pair k are bits 4k..4k+3
-        support = 0
-        for i, p in enumerate(table.entries.values()):
-            if p > epsilon:
-                support |= 1 << i
+        # the four cells of setting pair k are bits 4k..4k+3
+        possible = support(table, epsilon)
         for k, (ls, rs) in enumerate(SETTING_PAIRS):
-            if not support >> 4 * k & 0xF:
+            if not possible >> 4 * k & 0xF:
                 raise InconsistentModelError(
                     f"free-choice violation: settings ({ls}, {rs}) admit no "
                     f"outcome with probability above {epsilon}"
                 )
         worlds = memo[epsilon] = frozenset(
             World(ls, rs, lo, ro, probability=p)
-            for (ls, rs, lo, ro), p in table.entries.items()
-            if p > epsilon
+            for i, ((ls, rs, lo, ro), p) in enumerate(table.entries.items())
+            if possible >> i & 1
         )
     return WorldModel(worlds=worlds, table=table, epsilon=epsilon, frame=frame)

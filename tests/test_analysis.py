@@ -46,7 +46,7 @@ from hardyworlds.quantum import (
     probability_table,
     verify_hardy_constraints,
 )
-from hardyworlds.errors import InconsistentModelError
+from hardyworlds.errors import DomainError, InconsistentModelError
 from hardyworlds.semantics import LocalityCondition, changed_regions, eval_model, fixed
 from hardyworlds.worlds import World, WorldModel, enumerate_worlds
 from oracles import lhv_by_enumeration, random_formula
@@ -541,29 +541,41 @@ class TestSharingTripwires:
                 gc.enable()
 
 
+@pytest.mark.parametrize(
+    "function",
+    [enumerate_worlds, frame_comparison, lhv_feasibility, verify_hardy_constraints],
+)
+@pytest.mark.parametrize("epsilon", [0.0, -1e-9, 0.1, 0.5, math.nan, math.inf])
+def test_one_epsilon_domain(canonical_table, function, epsilon):
+    # every reader of a table's possible cells rejects the same thresholds
+    # with the same message, rather than reporting on them
+    with pytest.raises(DomainError) as excinfo:
+        function(canonical_table, epsilon)
+    assert str(excinfo.value) == f"epsilon must lie strictly in (0, 0.1), got {epsilon!r}"
+
+
 class TestDeterministicStrategy:
     def test_outcome_lookup_and_label(self):
         strategy = DeterministicStrategy(
             Outcome.PLUS, Outcome.MINUS, Outcome.PLUS, Outcome.MINUS
         )
-        assert strategy.outcome_for(Setting.L1) is Outcome.PLUS
-        assert strategy.outcome_for(Setting.R2) is Outcome.MINUS
         assert strategy.label() == "L1->+ L2->- R1->+ R2->-"
-
-    def test_produces(self):
-        strategy = DeterministicStrategy(
-            Outcome.PLUS, Outcome.MINUS, Outcome.PLUS, Outcome.MINUS
-        )
-        assert strategy.produces(
-            Setting.L1, Setting.R1, Outcome.PLUS, Outcome.PLUS
-        )
-        assert not strategy.produces(
-            Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS
-        )
 
 
 def zero_cells(table, epsilon=1e-9):
     return [key for key, p in table.entries.items() if p <= epsilon]
+
+
+def produces(strategy, cell):
+    """Does the strategy give the outcome pair of ``cell`` under its settings?"""
+    left_setting, right_setting, left_outcome, right_outcome = cell
+    outcome = {
+        Setting.L1: strategy.on_l1,
+        Setting.L2: strategy.on_l2,
+        Setting.R1: strategy.on_r1,
+        Setting.R2: strategy.on_r2,
+    }
+    return outcome[left_setting] is left_outcome and outcome[right_setting] is right_outcome
 
 
 class TestLhvFeasibility:
@@ -578,9 +590,9 @@ class TestLhvFeasibility:
         report = lhv_feasibility(canonical_table)
         zeros = zero_cells(canonical_table)
         for strategy, _ in report.excluded_strategies:
-            assert any(strategy.produces(*key) for key in zeros)
+            assert any(produces(strategy, key) for key in zeros)
         for strategy in report.surviving_strategies:
-            assert not any(strategy.produces(*key) for key in zeros)
+            assert not any(produces(strategy, key) for key in zeros)
         total = len(report.excluded_strategies) + len(report.surviving_strategies)
         assert total == 16
 

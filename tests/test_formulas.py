@@ -119,6 +119,29 @@ class TestStructuralRules:
         with pytest.raises(EntailmentNestingError):
             parse("L1 []-> (L2 => R1)")
 
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (
+                lambda: Entails(Or(L1, Or(L2, Entails(R1, R1))), R1),
+                "(L1 | (L2 | (R1 => R1))) => R1",
+            ),
+            (
+                lambda: Entails(L1, Implies(L2, Entails(R1, R1))),
+                "L1 => (L2 -> (R1 => R1))",
+            ),
+        ],
+    )
+    def test_hand_built_entailment_rejects_nested_entailment(self, build, text):
+        # a hand-built formula fails as its text fails to parse, with the same
+        # message, rather than being evaluated with "=>" inside a world
+        with pytest.raises(EntailmentNestingError) as built:
+            build()
+        with pytest.raises(EntailmentNestingError) as parsed:
+            parse(text)
+        assert str(built.value) == str(parsed.value)
+        assert "of '=>' must not contain '=>'" in str(built.value)
+
     def test_entailment_at_root_is_fine(self):
         formula = parse("L1 & L2 => R1 | R2")
         assert formula == Entails(And(L1, L2), Or(R1, R2))

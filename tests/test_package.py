@@ -2,7 +2,9 @@
 offers every public name, every submodule attribute and the attributes the
 benchmark's tracer wraps."""
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -120,3 +122,57 @@ def test_tracer_targets_resolve_after_the_cli_childs_imports():
     count, unresolved = out.split(" ", 1)
     assert int(count) > 0
     assert unresolved.strip() == "[]"
+
+
+def test_every_epsilon_parameter_defaults_to_the_one_constant():
+    from hardyworlds import quantum
+
+    takers = []
+    for name in hardyworlds.__all__:
+        value = getattr(hardyworlds, name)
+        if inspect.isfunction(value) and "epsilon" in inspect.signature(value).parameters:
+            takers.append(name)
+            default = inspect.signature(value).parameters["epsilon"].default
+            assert default is quantum.EPSILON_DEFAULT, name
+    assert sorted(takers) == [
+        "enumerate_worlds", "frame_comparison", "lhv_feasibility",
+        "verify_hardy_constraints",
+    ]
+
+
+def test_worlds_reexports_the_epsilon_constants():
+    from hardyworlds import quantum, worlds
+
+    assert worlds.EPSILON_MAX is quantum.EPSILON_MAX
+    assert worlds.EPSILON_DEFAULT is quantum.EPSILON_DEFAULT
+
+
+def _epsilon_comparisons():
+    """(module, enclosing function) of every comparison in the package's
+    sources with an operand named like epsilon."""
+
+    def named(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", "")
+        return "epsilon" in name.lower()
+
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(
+            named(operand) for operand in (node.left, *node.comparators)
+        ):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((ROOT / "src" / "hardyworlds").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_only_the_table_layer_compares_against_epsilon():
+    # which cells are possible at epsilon is decided in one place; every
+    # other reader asks check_epsilon and support
+    assert _epsilon_comparisons() == {("quantum", "check_epsilon"), ("quantum", "support")}
