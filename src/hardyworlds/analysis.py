@@ -15,8 +15,8 @@ faraway choice.
 Each statement changes only the right choice, so its verdict consults the
 frame and locality through fixed[R] alone (see ``semantics``).  The table's
 memo keeps it once per epsilon, statement and value of that bit, beside the
-world set; the suite, flow and frame comparison read it there under their
-own labels.  A hand-built model, whose world set is not the one
+world tuple; the suite, flow and frame comparison read it there under their
+own labels.  A hand-built model, whose world tuple is not the one
 ``enumerate_worlds`` built for its table, is evaluated afresh.
 """
 
@@ -28,7 +28,8 @@ from typing import Mapping
 
 from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
-from .quantum import CELLS, HARDY_CELLS, JointProbabilityTable, check_epsilon, support
+from .quantum import CELL_INDEX, CELLS, HARDY_CELLS, JointProbabilityTable
+from .quantum import check_epsilon, support
 from .records import Record
 from .semantics import (
     LocalityCondition, TruthReport, changed_regions, eval_model, eval_world, fixed,
@@ -104,7 +105,7 @@ def _catalogued_reports(
     """The named catalogued statements' reports on ``model``, labelled with
     ``locality`` and its frame.  The table's memo keys them by epsilon,
     statement and the ``fixed`` bits it consults, and serves only a model
-    that holds the table's own world set; else they are evaluated afresh.
+    that holds the table's own world tuple; else they are evaluated afresh.
     The memo keeps reports, never a model, so it refers back to nothing."""
     memo = model.table._memo
     if memo.get(model.epsilon) is not model.worlds:
@@ -302,7 +303,7 @@ def _cell_labels() -> tuple[tuple[str, ...], tuple[str, ...], int]:
         f"{zero_names[key]}: {text} = 0" if key in zero_names else f"{text} = 0"
         for key, text in zip(CELLS, texts)
     )
-    named = sum(1 << CELLS.index(cell) for cell in zero_names)
+    named = sum(1 << CELL_INDEX[cell] for cell in zero_names)
     return texts, zero_labels, named
 
 

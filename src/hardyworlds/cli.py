@@ -269,7 +269,7 @@ def _model_show(args: argparse.Namespace) -> Result:
     payload = {
         "epsilon": model.epsilon,
         "frame": model.frame.value,
-        "worlds": [_world_json(w) for w in model.sorted_worlds()],
+        "worlds": [_world_json(w) for w in model.worlds],
     }
     return payload, [_world_line(w) for w in payload["worlds"]], {}
 

@@ -57,10 +57,6 @@ class Outcome(enum.Enum):
                 return member
         raise ValueError(f"unknown outcome symbol {symbol!r}")
 
-    @property
-    def sort_index(self) -> int:
-        return 0 if self is Outcome.PLUS else 1
-
     def __str__(self) -> str:
         return self.value
 

@@ -71,13 +71,14 @@ SCAN_STEPS_MAX = 1_000_000
 ComplexVector = tuple[complex, complex]
 TableKey = tuple[Setting, Setting, Outcome, Outcome]
 
-# The 16 table cells in sort_key order: left setting, right setting, left
-# outcome, right outcome, plus before minus.  Cell i of a table is CELLS[i],
-# and the four cells of setting pair k are CELLS[4k:4k+4].
+# The 16 table cells, ordered by left setting, right setting, left outcome,
+# right outcome, plus before minus.  Cell i of a table is CELLS[i], the four
+# cells of setting pair k are CELLS[4k:4k+4], and CELL_INDEX[CELLS[i]] is i.
+# This is the one order of cells and of worlds.
 CELLS: tuple[TableKey, ...] = tuple(
     product(LEFT_SETTINGS, RIGHT_SETTINGS, OUTCOMES, OUTCOMES)
 )
-_CELL_SET = frozenset(CELLS)
+CELL_INDEX: dict[TableKey, int] = {cell: i for i, cell in enumerate(CELLS)}
 
 # (name, cell, must be zero) for the Hardy conditions, in report order: the
 # three zeros, then the two cells that must be possible.  Which cells are
@@ -233,7 +234,7 @@ class JointProbabilityTable(Record):
     skipped for deliberately degenerate tables used to exercise error paths.
 
     ``_memo`` is a private dict, not a field: the analyses keep there what
-    they derive from the table (each epsilon's world set and the
+    they derive from the table (each epsilon's world tuple and the
     catalogued verdicts on it), so every analysis of one table computes
     them once.  It holds no reference back to the table.
     """
@@ -242,7 +243,7 @@ class JointProbabilityTable(Record):
 
     def __init__(self, entries: Mapping[TableKey, float]) -> None:
         entries = dict(entries)
-        if set(entries) != _CELL_SET:
+        if entries.keys() != CELL_INDEX.keys():
             raise InvalidModelError(
                 "table must contain exactly the 16 setting/outcome combinations"
             )
@@ -261,23 +262,14 @@ class JointProbabilityTable(Record):
         object.__setattr__(self, "entries", MappingProxyType(entries))
         object.__setattr__(self, "_memo", {})
 
-    def prob(
-        self,
-        left_setting: Setting,
-        right_setting: Setting,
-        left_outcome: Outcome,
-        right_outcome: Outcome,
-    ) -> float:
-        return self.entries[(left_setting, right_setting, left_outcome, right_outcome)]
-
-    def validate_rows(self, tol: float = ROW_SUM_TOL) -> None:
+    def validate_rows(self) -> None:
         values = tuple(self.entries.values())
         for k, (ls, rs) in enumerate(SETTING_PAIRS):
             total = sum(values[4 * k : 4 * k + 4])
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > ROW_SUM_TOL:
                 raise InvalidModelError(
                     f"outcome probabilities for ({ls}, {rs}) sum to {total!r}, "
-                    f"not 1 within {tol}"
+                    f"not 1 within {ROW_SUM_TOL}"
                 )
 
 
@@ -410,7 +402,7 @@ def verify_hardy_constraints(
     failures = tuple(
         name
         for name, cell, must_be_zero in HARDY_CELLS
-        if (possible >> CELLS.index(cell) & 1) == must_be_zero
+        if (possible >> CELL_INDEX[cell] & 1) == must_be_zero
     )
     return HardyConstraintReport(
         *(table.entries[cell] for _, cell, _ in HARDY_CELLS),

@@ -14,8 +14,8 @@ the same class and their fields are equal in order; the hash is that of the
 field tuple, so a record holding a mapping is unhashable.  ``repr`` lists
 every field as ``Name(field=value, ...)``.
 
-A record may also set private attributes that are not fields, such as a
-memo of results derived from its fields (``JointProbabilityTable._memo``).
+A record may also set attributes that are not fields, derived from its
+fields: ``World.index`` or the memo ``JointProbabilityTable._memo``.
 It sets them in its own ``__init__`` like a field; they play no part in
 equality, hashing or ``repr``.
 """

@@ -84,7 +84,7 @@ class VacuousFlag(Record):
 class TruthReport(Record):
     """Outcome of checking one formula against a whole model.
 
-    ``witnesses`` lists the worlds that falsify the claim, in deterministic
+    ``witnesses`` lists the worlds that falsify the claim, in ``CELLS``
     order; ``holds`` is true exactly when it is empty.
     """
 
@@ -242,7 +242,7 @@ def eval_model(
         consequent = formula
     witnesses: list[World] = []
     vacuous_log: list[VacuousFlag] = []
-    for world in model.sorted_worlds():
+    for world in model.worlds:
         if antecedent is not None and not _eval(
             model, world, antecedent, locality, vacuous_log
         ):

@@ -9,18 +9,19 @@ reporting but plays no role in equality, so all logic downstream is modal.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import InconsistentModelError
 from .labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
 from .quantum import EPSILON_DEFAULT, EPSILON_MAX  # re-exported
-from .quantum import JointProbabilityTable, check_epsilon, support
+from .quantum import CELL_INDEX, JointProbabilityTable, check_epsilon, support
 from .records import Record
 
 
 class World(Record):
-    """One setting/outcome combination; ``probability`` is not part of its
-    identity, so equality and hashing use the four coordinates alone."""
+    """One setting/outcome combination.  ``index`` is its position in
+    ``CELLS``, the order of a model's worlds; ``probability`` is not part of
+    its identity, so equality and hashing use the four coordinates alone."""
 
     left_setting: Setting
     right_setting: Setting
@@ -45,6 +46,8 @@ class World(Record):
         object.__setattr__(self, "left_outcome", left_outcome)
         object.__setattr__(self, "right_outcome", right_outcome)
         object.__setattr__(self, "probability", probability)
+        cell = (left_setting, right_setting, left_outcome, right_outcome)
+        object.__setattr__(self, "index", CELL_INDEX[cell])
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
@@ -72,15 +75,6 @@ class World(Record):
     def outcome_in(self, region: Region) -> Outcome:
         return self.left_outcome if region is Region.LEFT else self.right_outcome
 
-    @property
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (
-            self.left_setting.index,
-            self.right_setting.index,
-            self.left_outcome.sort_index,
-            self.right_outcome.sort_index,
-        )
-
     def label(self) -> str:
         return (
             f"{self.left_setting} {self.right_setting} "
@@ -92,24 +86,24 @@ class World(Record):
 
 
 class WorldModel(Record):
-    """The possible worlds of a table, with the frame used to order regions."""
+    """The possible worlds of a table, as a tuple in ``CELLS`` order, with
+    the frame used to order regions.  Worlds that do not strictly increase
+    in ``CELLS`` index, out of order or repeated, raise ``ValueError``."""
 
-    worlds: frozenset[World]
+    worlds: tuple[World, ...]
     table: JointProbabilityTable
     epsilon: float
     frame: FrameOrdering
 
-    def sorted_worlds(self) -> list[World]:
-        return sorted(self.worlds, key=lambda w: w.sort_key)
-
-    def worlds_for_pair(
-        self, left_setting: Setting, right_setting: Setting
-    ) -> list[World]:
-        return [
-            w
-            for w in self.sorted_worlds()
-            if w.left_setting is left_setting and w.right_setting is right_setting
-        ]
+    def __init__(self, worlds: Iterable[World], table: JointProbabilityTable,
+                 epsilon: float, frame: FrameOrdering) -> None:
+        worlds = tuple(worlds)
+        if any(a.index >= b.index for a, b in zip(worlds, worlds[1:])):
+            raise ValueError("a model's worlds must be distinct and in CELLS order")
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "frame", frame)
 
     def find(
         self,
@@ -129,7 +123,7 @@ class WorldModel(Record):
         return None
 
     def __iter__(self) -> Iterator[World]:
-        return iter(self.sorted_worlds())
+        return iter(self.worlds)
 
     def __len__(self) -> int:
         return len(self.worlds)
@@ -146,9 +140,10 @@ def enumerate_worlds(
     possible world at all; free choice of settings demands at least one
     possible outcome for every pair.
 
-    The world set is built once per table and epsilon and kept in the
+    The worlds come in ``CELLS`` order, the order of the table's entries.
+    They are built once per table and epsilon and kept, as one tuple, in the
     table's memo under the epsilon; later calls, in either frame, wrap that
-    same set in a new model.  A table that violates free choice keeps
+    same tuple in a new model.  A table that violates free choice keeps
     nothing, so every call raises.
     """
     epsilon = check_epsilon(epsilon)
@@ -163,7 +158,7 @@ def enumerate_worlds(
                     f"free-choice violation: settings ({ls}, {rs}) admit no "
                     f"outcome with probability above {epsilon}"
                 )
-        worlds = memo[epsilon] = frozenset(
+        worlds = memo[epsilon] = tuple(
             World(ls, rs, lo, ro, probability=p)
             for i, ((ls, rs, lo, ro), p) in enumerate(table.entries.items())
             if possible >> i & 1

@@ -109,7 +109,7 @@ def test_criterion_5_canonical_fractions(canonical_pair, canonical_table):
             (Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS): 0.0,
         }
         for (ls, rs, lo, ro), want in expected.items():
-            got = canonical_table.prob(ls, rs, lo, ro)
+            got = canonical_table.entries[(ls, rs, lo, ro)]
             assert got == pytest.approx(want, abs=1e-9), (ls, rs, lo, ro)
             oracle = born_probability(
                 state.amplitudes,
@@ -191,7 +191,7 @@ def test_criterion_11_property_suites(canonical_table):
             x = rng.uniform(0.001, 0.499)
             table = probability_table(*hardy_family(x))
             for ls, rs in SETTING_PAIRS:
-                row = [table.prob(ls, rs, lo, ro) for lo in OUTCOMES for ro in OUTCOMES]
+                row = [table.entries[(ls, rs, lo, ro)] for lo in OUTCOMES for ro in OUTCOMES]
                 assert abs(sum(row) - 1.0) <= 1e-9
 
         for frame in FrameOrdering:

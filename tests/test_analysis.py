@@ -276,9 +276,9 @@ def free_choice_table(zero_pattern, on_threshold, positives, epsilon, order):
 
 
 def hand_built(model):
-    """The same model over an equal but distinct world set: it reads nothing
-    from the table's memo."""
-    return WorldModel(frozenset(set(model.worlds)), model.table, model.epsilon, model.frame)
+    """The same model over an equal but distinct world tuple: it reads
+    nothing from the table's memo."""
+    return WorldModel(list(model.worlds), model.table, model.epsilon, model.frame)
 
 
 def evidence(report):
@@ -424,9 +424,9 @@ class TestSharedVerdicts:
             assert repr(shared) == repr(alone)
         # a hand-built model on the same table, epsilon and frame but over
         # fewer worlds must not read the table's verdicts
-        worlds = enumerate_worlds(table, epsilon, frame).sorted_worlds()
+        worlds = list(enumerate_worlds(table, epsilon, frame).worlds)
         del worlds[dropped % len(worlds)]
-        hand_built = WorldModel(frozenset(worlds), table, epsilon, frame)
+        hand_built = WorldModel(worlds, table, epsilon, frame)
         reports = catalogued_reports(hand_built, locality)
         assert theorem_suite(hand_built, locality).statements == reports
         flow = information_flow(hand_built, locality)
@@ -440,15 +440,15 @@ class TestSharedVerdicts:
         shared = theorem_suite(model).statements["stmt2"]
         witness = model.find(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
         hand_built = WorldModel(
-            model.worlds - {witness}, table, model.epsilon, model.frame
+            [w for w in model.worlds if w != witness], table, model.epsilon, model.frame
         )
         own = theorem_suite(hand_built).statements["stmt2"]
         assert [str(w) for w in shared.witnesses] == ["(L1,R2,+,+)", "(L1,R2,-,+)"]
         assert [str(w) for w in own.witnesses] == ["(L1,R2,-,+)"]
         assert information_flow(hand_built).reports["f_of_L1"] == own
-        # an equal but distinct world set is hand-built too: worlds compare
+        # an equal but distinct world tuple is hand-built too: worlds compare
         # by their coordinates, so these carry other probabilities
-        relabelled = frozenset(
+        relabelled = tuple(
             World(w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, 0.5)
             for w in model.worlds
         )

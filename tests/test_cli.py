@@ -764,6 +764,28 @@ class TestEntryPoints:
         )
         assert proc.returncode == 2
 
+    # world and witness order comes from CELLS, not from set iteration, so
+    # fresh processes under different hash seeds print the same bytes
+    HASH_SEED_RUNS = {
+        "suite": ["suite"],
+        "frames": ["frames"],
+        "model show": ["model", "show"],
+        "nested check": ["check", "L2 & R2 & R2- => (R1 []-> (L1 []-> L1+))"],
+    }
+
+    @pytest.mark.parametrize("argv", HASH_SEED_RUNS.values(), ids=HASH_SEED_RUNS)
+    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hardyworlds", *argv, "--format", "json"],
+                capture_output=True,
+                env={**CHILD_ENV, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_cli_import_loads_no_numeric_libraries(self):
         # nor the slow-to-import stdlib modules the CLI does not need
         unwanted = {"numpy", "scipy", "dataclasses", "inspect", "fractions"}

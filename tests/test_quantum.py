@@ -11,6 +11,7 @@ from hardyworlds.errors import DomainError, InvalidModelError
 from hardyworlds.labels import OUTCOMES, SETTING_PAIRS, Outcome, Setting
 from hardyworlds import quantum
 from hardyworlds.quantum import (
+    CELL_INDEX,
     CELLS,
     COMPUTATIONAL_BASIS,
     BipartiteState,
@@ -59,7 +60,7 @@ def random_basis(parts):
 
 def row_sum(table, left_setting, right_setting):
     return sum(
-        table.prob(left_setting, right_setting, lo, ro)
+        table.entries[(left_setting, right_setting, lo, ro)]
         for lo in OUTCOMES
         for ro in OUTCOMES
     )
@@ -329,9 +330,9 @@ class TestProbabilityTable:
     def test_canonical_values(self, canonical_table):
         for (ls, rs), row in CANONICAL_ROWS.items():
             for (lo, ro), expected in row.items():
-                got = canonical_table.prob(
-                    ls, rs, Outcome.from_symbol(lo), Outcome.from_symbol(ro)
-                )
+                got = canonical_table.entries[
+                    (ls, rs, Outcome.from_symbol(lo), Outcome.from_symbol(ro))
+                ]
                 assert got == pytest.approx(expected, abs=1e-9), (ls, rs, lo, ro)
 
     def test_matches_brute_force_oracle(self, canonical_pair, canonical_table):
@@ -363,27 +364,32 @@ class TestProbabilityTable:
         assert tuple(rebuilt.entries) == CELLS
         assert rebuilt == canonical_table
 
-    def test_cells_are_in_sort_key_order(self):
+    def test_cells_are_in_lexicographic_order(self):
+        # left setting, right setting, left outcome, right outcome; plus
+        # before minus
         keys = [
-            (ls.index, rs.index, lo.sort_index, ro.sort_index)
+            (ls.index, rs.index, OUTCOMES.index(lo), OUTCOMES.index(ro))
             for ls, rs, lo, ro in CELLS
         ]
         assert keys == sorted(keys) and len(set(CELLS)) == 16
+        assert OUTCOMES == (Outcome.PLUS, Outcome.MINUS)
+        assert list(CELL_INDEX) == list(CELLS)
+        assert list(CELL_INDEX.values()) == list(range(16))
 
     def test_rows_sum_to_one(self, canonical_table):
         for ls, rs in SETTING_PAIRS:
             assert row_sum(canonical_table, ls, rs) == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_zeros(self, canonical_table):
-        assert canonical_table.prob(
-            Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS
-        ) < 1e-12
-        assert canonical_table.prob(
-            Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS
-        ) < 1e-12
-        assert canonical_table.prob(
-            Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS
-        ) < 1e-12
+        assert canonical_table.entries[
+            (Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS)
+        ] < 1e-12
+        assert canonical_table.entries[
+            (Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS)
+        ] < 1e-12
+        assert canonical_table.entries[
+            (Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS)
+        ] < 1e-12
 
     def test_side_swap_symmetry(self, canonical_table):
         # swapping regions while transposing the setting indices 1<->2 and
@@ -391,7 +397,7 @@ class TestProbabilityTable:
         flip = {Setting.L1: Setting.R2, Setting.L2: Setting.R1,
                 Setting.R1: Setting.L2, Setting.R2: Setting.L1}
         for (ls, rs, lo, ro), p in canonical_table.entries.items():
-            mirrored = canonical_table.prob(flip[rs], flip[ls], ro, lo)
+            mirrored = canonical_table.entries[(flip[rs], flip[ls], ro, lo)]
             assert p == pytest.approx(mirrored, abs=1e-12)
 
     def test_constructor_rejects_incomplete(self):
@@ -424,7 +430,7 @@ class TestHardyFamily:
     def test_quarter_h4(self):
         state, config = hardy_family(0.25)
         table = probability_table(state, config)
-        h4 = table.prob(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
+        h4 = table.entries[(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)]
         assert h4 == pytest.approx(1.0 / 18.0, abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.0, 0.5, -0.1, 0.7, 1.0])
@@ -438,9 +444,15 @@ class TestHardyFamily:
             x = rng.uniform(1e-6, 0.5 - 1e-6)
             state, config = hardy_family(x)
             table = probability_table(state, config)
-            assert table.prob(Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS) < 1e-12
-            assert table.prob(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS) < 1e-12
-            assert table.prob(Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS) < 1e-12
+            assert table.entries[
+                (Setting.L2, Setting.R2, Outcome.MINUS, Outcome.PLUS)
+            ] < 1e-12
+            assert table.entries[
+                (Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS)
+            ] < 1e-12
+            assert table.entries[
+                (Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS)
+            ] < 1e-12
 
     def test_h4_closed_form_agreement(self):
         rng = random.Random(97)
@@ -448,7 +460,7 @@ class TestHardyFamily:
             x = rng.uniform(0.01, 0.49)
             state, config = hardy_family(x)
             table = probability_table(state, config)
-            h4 = table.prob(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
+            h4 = table.entries[(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.PLUS)]
             assert h4 == pytest.approx(closed_form_h4(x), abs=1e-9)
 
     def test_row_sums_across_family(self):
@@ -468,7 +480,7 @@ class TestHardyFamily:
             table = probability_table(state, config)
             for (ls, rs, lo, ro), p in table.entries.items():
                 assert p == pytest.approx(
-                    table.prob(flip[rs], flip[ls], ro, lo), abs=1e-12
+                    table.entries[(flip[rs], flip[ls], ro, lo)], abs=1e-12
                 )
 
 

@@ -54,7 +54,7 @@ from hardyworlds.worlds import World, WorldModel, enumerate_worlds
 STATE, CONFIG = canonical_hardy_model()
 TABLE = probability_table(STATE, CONFIG)
 MODEL = enumerate_worlds(TABLE)
-WORLD = MODEL.sorted_worlds()[0]
+WORLD = MODEL.worlds[0]
 ATOM = SettingAtom(Setting.L1)
 OUTCOME_ATOM = OutcomeAtom(Setting.R2, Outcome.PLUS)
 COUNTERFACTUAL = Counterfactual(Setting.R1, OUTCOME_ATOM)

@@ -158,7 +158,7 @@ class TestEvalCounterfactual:
         )
 
     def test_consequent_must_be_entailment_free(self, canonical_model):
-        w = canonical_model.sorted_worlds()[0]
+        w = canonical_model.worlds[0]
         with pytest.raises(EntailmentNestingError):
             eval_counterfactual(
                 canonical_model, w, Setting.L2, parse("L1 => L2"), LOC1
@@ -227,7 +227,7 @@ class TestEvalWorld:
             eval_world(canonical_model, stranger, parse("L1"))
 
     def test_rejects_entailment(self, canonical_model):
-        w = canonical_model.sorted_worlds()[0]
+        w = canonical_model.worlds[0]
         with pytest.raises(EntailmentNestingError):
             eval_world(canonical_model, w, parse("L1 => L2"))
 
@@ -235,7 +235,7 @@ class TestEvalWorld:
         # counterfactual-free formulas must agree with a plain truth-table
         # evaluation over the world's atom valuation
         rng = random.Random(20240818)
-        worlds = canonical_model.sorted_worlds()
+        worlds = canonical_model.worlds
         for _ in range(400):
             formula = random_formula(
                 rng, depth=4, allow_entails=False, allow_counterfactual=False
@@ -280,7 +280,7 @@ class TestEvalModel:
         report = eval_model(canonical_model, parse("L2 & ~L2"))
         assert not report.holds
         assert len(report.witnesses) == 13
-        assert list(report.witnesses) == canonical_model.sorted_worlds()
+        assert report.witnesses == canonical_model.worlds
 
     def test_entailment_restricts_to_antecedent_worlds(self, canonical_model):
         report = eval_model(canonical_model, parse("L2 & R2 & R2+ => L2+"))
@@ -296,5 +296,5 @@ class TestEvalModel:
 
     def test_witness_order_is_sorted(self, canonical_model):
         report = eval_model(canonical_model, parse("~R2+"))
-        keys = [w.sort_key for w in report.witnesses]
-        assert keys == sorted(keys)
+        indices = [w.index for w in report.witnesses]
+        assert indices == sorted(set(indices))

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from hardyworlds import worlds
 from hardyworlds.errors import DomainError, InconsistentModelError
 from hardyworlds.labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
-from hardyworlds.quantum import JointProbabilityTable, probability_table
-from hardyworlds.worlds import World, enumerate_worlds
+from hardyworlds.quantum import CELLS, JointProbabilityTable, probability_table
+from hardyworlds.worlds import World, WorldModel, enumerate_worlds
 
 
 class TestWorld:
@@ -39,7 +41,8 @@ class TestEnumerateWorlds:
 
     def test_canonical_counts_per_pair(self, canonical_model):
         counts = [
-            len(canonical_model.worlds_for_pair(ls, rs)) for ls, rs in SETTING_PAIRS
+            sum(w.left_setting is ls and w.right_setting is rs for w in canonical_model)
+            for ls, rs in SETTING_PAIRS
         ]
         assert counts == [3, 4, 3, 3]
 
@@ -56,14 +59,42 @@ class TestEnumerateWorlds:
         ) is None
 
     def test_sorted_order_is_deterministic(self, canonical_table):
-        first = enumerate_worlds(canonical_table).sorted_worlds()
-        second = enumerate_worlds(canonical_table).sorted_worlds()
+        first = enumerate_worlds(canonical_table).worlds
+        second = enumerate_worlds(canonical_table).worlds
         assert first == second
-        keys = [w.sort_key for w in first]
-        assert keys == sorted(keys)
+        assert [CELLS[w.index] for w in first] == [
+            cell for cell in CELLS if canonical_table.entries[cell] > 1e-9
+        ]
+        # a model's worlds strictly increase in CELLS index
+        model = enumerate_worlds(canonical_table)
+        for bad in (first[::-1], first[1:2] + first[:1], first[:2] + first[1:]):
+            with pytest.raises(ValueError, match="distinct and in CELLS order"):
+                WorldModel(bad, canonical_table, model.epsilon, model.frame)
+        assert WorldModel(list(first), canonical_table, model.epsilon, model.frame) == model
+
+    def test_worlds_come_in_cell_order(self):
+        # a seeded sample of support patterns with every setting pair
+        # possible, each table built from its entries in a shuffled order
+        rng = random.Random(14)
+        for _ in range(200):
+            possible = rng.getrandbits(16)
+            for k in range(4):
+                possible |= 1 << 4 * k + rng.randrange(4)
+            order = rng.sample(range(16), 16)
+            table = JointProbabilityTable(
+                {CELLS[i]: 0.25 if possible >> i & 1 else 0.0 for i in order}
+            )
+            model = enumerate_worlds(table)
+            assert [w.index for w in model.worlds] == [
+                i for i in range(16) if possible >> i & 1
+            ]
+            for w in model.worlds:
+                assert CELLS[w.index] == (
+                    w.left_setting, w.right_setting, w.left_outcome, w.right_outcome
+                )
 
     def test_first_world(self, canonical_model):
-        head = canonical_model.sorted_worlds()[0]
+        head = canonical_model.worlds[0]
         assert head.label() == "L1 R1 + +"
         assert head.probability == pytest.approx(1.0 / 6.0, abs=1e-9)
 
@@ -79,7 +110,7 @@ class TestEnumerateWorlds:
     def test_epsilon_monotonicity(self, canonical_table):
         small = enumerate_worlds(canonical_table, epsilon=1e-9).worlds
         large = enumerate_worlds(canonical_table, epsilon=0.09).worlds
-        assert large <= small
+        assert all(w in small for w in large)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1e-9, 0.1, 0.5])
     def test_epsilon_domain(self, canonical_table, epsilon):
@@ -142,6 +173,6 @@ class TestEnumerateWorlds:
 
     def test_probabilities_match_table(self, canonical_model, canonical_table):
         for w in canonical_model:
-            assert w.probability == canonical_table.prob(
-                w.left_setting, w.right_setting, w.left_outcome, w.right_outcome
-            )
+            assert w.probability == canonical_table.entries[
+                (w.left_setting, w.right_setting, w.left_outcome, w.right_outcome)
+            ]
