@@ -13,11 +13,14 @@ as a probe of whether a statement about one region can depend on the
 faraway choice.
 
 Each statement changes only the right choice, so its verdict consults the
-frame and locality through fixed[R] alone (see ``semantics``).  The table's
-memo keeps it once per epsilon, statement and value of that bit, beside the
-world tuple; the suite, flow and frame comparison read it there under their
-own labels.  A hand-built model, whose world tuple is not the one
-``enumerate_worlds`` built for its table, is evaluated afresh.
+frame and locality through fixed[R] alone (see ``semantics``), and the model
+through its possible worlds alone: not their probabilities, its table or
+epsilon.  One process-wide memo keeps each verdict once per world mask
+(``WorldModel.mask``), statement and value of that bit.  Equal masks hold
+each world at the same position, so the memo keeps positions, never a world,
+model or table, and every model with those worlds, enumerated or built by
+hand, reads the verdict there as a report on its own worlds, under its own
+labels.  It holds at most ``_MEMO_LIMIT`` entries and is emptied when full.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .quantum import CELL_INDEX, CELLS, HARDY_CELLS, JointProbabilityTable
 from .quantum import check_epsilon, support
 from .records import Record
 from .semantics import (
-    LocalityCondition, TruthReport, changed_regions, eval_model, eval_world, fixed,
+    LocalityCondition, TruthReport, VacuousFlag, changed_regions, eval_model,
+    eval_world, fixed,
 )
 from .worlds import EPSILON_DEFAULT, World, WorldModel, enumerate_worlds
 
@@ -45,6 +49,12 @@ DIVERGENCE_TEXT = "L1 []-> R1-"
 LOC1_L_FIRST = "loc1-l-first"
 LOC1_R_FIRST = "loc1-r-first"
 LIGHT_CONE_KEY = "lightcone"
+
+# a world mask takes at most seven entries (three statements times the two
+# values of fixed[R], and the divergence results), so about 146 world sets
+# fit; a sweep meets few, and a full memo costs only re-evaluation
+_MEMO_LIMIT = 1024
+_memo: dict[tuple, tuple] = {}
 
 
 class FormulaCatalog(Record):
@@ -99,29 +109,47 @@ class SuiteReport(Record):
         return {name: report.holds for name, report in self.statements.items()}
 
 
+def _memoized(key: tuple, compute, *args) -> tuple:
+    """``_memo[key]``, computed as ``compute(*args)`` on a miss; a full memo
+    is emptied first."""
+    value = _memo.get(key)
+    if value is None:
+        if len(_memo) >= _MEMO_LIMIT:
+            _memo.clear()
+        value = _memo[key] = compute(*args)
+    return value
+
+
+def _evidence(model: WorldModel, formula: Formula, locality: LocalityCondition) -> tuple:
+    """A fresh verdict as the memo keeps it: ``holds``, the witnesses'
+    positions in ``model.worlds`` and each vacuous flag's (position,
+    counterfactual)."""
+    report = eval_model(model, formula, locality)
+    position = model.worlds.index
+    return (
+        report.holds,
+        tuple(map(position, report.witnesses)),
+        tuple((position(f.world), f.counterfactual) for f in report.vacuous_flags),
+    )
+
+
 def _catalogued_reports(
     model: WorldModel, locality: LocalityCondition, names: tuple[str, ...]
 ) -> list[TruthReport]:
     """The named catalogued statements' reports on ``model``, labelled with
-    ``locality`` and its frame.  The table's memo keys them by epsilon,
-    statement and the ``fixed`` bits it consults, and serves only a model
-    that holds the table's own world tuple; else they are evaluated afresh.
-    The memo keeps reports, never a model, so it refers back to nothing."""
-    memo = model.table._memo
-    if memo.get(model.epsilon) is not model.worlds:
-        memo = {}
+    ``locality`` and its frame, read from the memo under the model's world
+    mask, the statement and the ``fixed`` bits it consults."""
     consulted = _statements_with_regions()
+    worlds, frame = model.worlds, model.frame
     reports = []
     for name in names:
         formula, regions = consulted[name]
-        key = (model.epsilon, name, tuple(fixed(model.frame, locality, r) for r in regions))
-        report = memo.get(key)
-        if report is None:
-            report = memo[key] = eval_model(model, formula, locality)
-        elif report.locality is not locality or report.frame is not model.frame:
-            report = TruthReport(report.formula, report.holds, report.witnesses,
-                                 locality, model.frame, report.vacuous_flags)
-        reports.append(report)
+        key = (model.mask, name, tuple(fixed(frame, locality, r) for r in regions))
+        holds, witnesses, flags = _memoized(key, _evidence, model, formula, locality)
+        reports.append(TruthReport(
+            formula, holds, tuple([worlds[i] for i in witnesses]), locality, frame,
+            tuple([VacuousFlag(worlds[i], cf) for i, cf in flags]),
+        ))
     return reports
 
 
@@ -219,6 +247,14 @@ class ComparisonReport(Record):
         return self.flips["stmt1"]
 
 
+def _divergence_results(model: WorldModel, world: World) -> tuple[bool, bool]:
+    """The divergence formula's truth at ``world`` under LOC1 and under the
+    light-cone policy."""
+    formula = _divergence_formula()
+    return (eval_world(model, world, formula, LocalityCondition.LOC1),
+            eval_world(model, world, formula, LocalityCondition.LIGHT_CONE))
+
+
 def frame_comparison(
     table: JointProbabilityTable,
     epsilon: float = EPSILON_DEFAULT,
@@ -229,9 +265,10 @@ def frame_comparison(
     the left-first frame and clears in the right-first one, so ``flips``
     compares those two suites.  The light-cone policy sets fixed[R] too, so
     its suite, on the left-first model, reads the LOC1 left-first verdicts
-    from the table's memo.  When the world (L2, R1, +, -) is possible, the
-    report also carries the left-side counterfactual that separates the
-    two policies at that world.
+    from the memo.  When the world (L2, R1, +, -) is possible, the report
+    also carries the left-side counterfactual that separates the two
+    policies at that world; the memo keeps its two results under the world
+    mask.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
     model_r = enumerate_worlds(table, epsilon, FrameOrdering.RIGHT_BEFORE_LEFT)
@@ -243,10 +280,14 @@ def frame_comparison(
     divergence: DivergenceExample | None = None
     pivot = model_l.find(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
     if pivot is not None:
-        formula = _divergence_formula()
-        results = {key: eval_world(model_l, pivot, formula, suites[key].locality)
-                   for key in (LOC1_L_FIRST, LIGHT_CONE_KEY)}
-        divergence = DivergenceExample(formula=formula, world=pivot, results=results)
+        loc1, light_cone = _memoized(
+            (model_l.mask, "divergence"), _divergence_results, model_l, pivot
+        )
+        divergence = DivergenceExample(
+            formula=_divergence_formula(),
+            world=pivot,
+            results={LOC1_L_FIRST: loc1, LIGHT_CONE_KEY: light_cone},
+        )
     l_first, r_first = suites[LOC1_L_FIRST].statements, suites[LOC1_R_FIRST].statements
     return ComparisonReport(
         suites=suites,

@@ -233,10 +233,9 @@ class JointProbabilityTable(Record):
     which holds for every table produced by ``probability_table`` but can be
     skipped for deliberately degenerate tables used to exercise error paths.
 
-    ``_memo`` is a private dict, not a field: the analyses keep there what
-    they derive from the table (each epsilon's world tuple and the
-    catalogued verdicts on it), so every analysis of one table computes
-    them once.  It holds no reference back to the table.
+    ``_memo`` is a private dict, not a field: ``enumerate_worlds`` keeps
+    there each epsilon's world tuple, so every analysis of one table builds
+    it once.  It holds no reference back to the table.
     """
 
     entries: Mapping[TableKey, float]

@@ -15,7 +15,8 @@ field tuple, so a record holding a mapping is unhashable.  ``repr`` lists
 every field as ``Name(field=value, ...)``.
 
 A record may also set attributes that are not fields, derived from its
-fields: ``World.index`` or the memo ``JointProbabilityTable._memo``.
+fields: ``World.index``, ``WorldModel.mask`` or the memo
+``JointProbabilityTable._memo``.
 It sets them in its own ``__init__`` like a field; they play no part in
 equality, hashing or ``repr``.
 """

@@ -216,7 +216,7 @@ def eval_world(
     locality: LocalityCondition = LocalityCondition.LOC1,
 ) -> bool:
     """Truth of an entailment-free formula at one world."""
-    if world not in model.worlds:
+    if not model.mask >> world.index & 1:
         raise UnknownWorldError(f"world {world} does not belong to the model")
     require_entails_free(formula, "a world-level formula")
     return _eval(model, world, formula, locality, None)

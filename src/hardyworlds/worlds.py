@@ -88,7 +88,11 @@ class World(Record):
 class WorldModel(Record):
     """The possible worlds of a table, as a tuple in ``CELLS`` order, with
     the frame used to order regions.  Worlds that do not strictly increase
-    in ``CELLS`` index, out of order or repeated, raise ``ValueError``."""
+    in ``CELLS`` index, out of order or repeated, raise ``ValueError``.
+
+    ``mask`` is not a field: bit i is set when ``CELLS[i]`` is a world of
+    the model.  Models with equal masks hold each world at the same
+    position, whatever its probability, table or frame."""
 
     worlds: tuple[World, ...]
     table: JointProbabilityTable
@@ -98,12 +102,16 @@ class WorldModel(Record):
     def __init__(self, worlds: Iterable[World], table: JointProbabilityTable,
                  epsilon: float, frame: FrameOrdering) -> None:
         worlds = tuple(worlds)
-        if any(a.index >= b.index for a, b in zip(worlds, worlds[1:])):
-            raise ValueError("a model's worlds must be distinct and in CELLS order")
+        mask = 0
+        for w in worlds:
+            if mask >> w.index:
+                raise ValueError("a model's worlds must be distinct and in CELLS order")
+            mask |= 1 << w.index
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "mask", mask)
 
     def find(
         self,
@@ -112,15 +120,11 @@ class WorldModel(Record):
         left_outcome: Outcome,
         right_outcome: Outcome,
     ) -> World | None:
-        for w in self.worlds:
-            if (
-                w.left_setting is left_setting
-                and w.right_setting is right_setting
-                and w.left_outcome is left_outcome
-                and w.right_outcome is right_outcome
-            ):
-                return w
-        return None
+        index = CELL_INDEX[(left_setting, right_setting, left_outcome, right_outcome)]
+        if not self.mask >> index & 1:
+            return None
+        # the worlds before it are the mask's lower bits
+        return self.worlds[(self.mask & ((1 << index) - 1)).bit_count()]
 
     def __iter__(self) -> Iterator[World]:
         return iter(self.worlds)

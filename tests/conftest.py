@@ -1,5 +1,6 @@
 import pytest
 
+from hardyworlds import analysis
 from hardyworlds.labels import OUTCOMES, SETTING_PAIRS, FrameOrdering
 from hardyworlds.quantum import (
     JointProbabilityTable,
@@ -45,3 +46,12 @@ def uniform_table():
 @pytest.fixture(scope="session")
 def uniform_model(uniform_table):
     return enumerate_worlds(uniform_table, 1e-9, FrameOrdering.LEFT_BEFORE_RIGHT)
+
+
+@pytest.fixture
+def empty_memo():
+    """The process-wide memo of catalogued verdicts, emptied before and after
+    the test, so that what it holds does not depend on test order."""
+    analysis._memo.clear()
+    yield analysis._memo
+    analysis._memo.clear()

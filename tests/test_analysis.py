@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import operator
 import random
 import weakref
 
@@ -47,7 +48,9 @@ from hardyworlds.quantum import (
     verify_hardy_constraints,
 )
 from hardyworlds.errors import DomainError, InconsistentModelError
-from hardyworlds.semantics import LocalityCondition, changed_regions, eval_model, fixed
+from hardyworlds.semantics import (
+    LocalityCondition, changed_regions, eval_model, eval_world, fixed,
+)
 from hardyworlds.worlds import World, WorldModel, enumerate_worlds
 from oracles import lhv_by_enumeration, random_formula
 
@@ -275,12 +278,6 @@ def free_choice_table(zero_pattern, on_threshold, positives, epsilon, order):
     return random_support_table(zero_pattern, on_threshold, positives, epsilon, order)
 
 
-def hand_built(model):
-    """The same model over an equal but distinct world tuple: it reads
-    nothing from the table's memo."""
-    return WorldModel(list(model.worlds), model.table, model.epsilon, model.frame)
-
-
 def evidence(report):
     """What a verdict says, without its frame and locality labels."""
     return report.holds, report.witnesses, report.vacuous_flags
@@ -289,7 +286,7 @@ def evidence(report):
 class TestLightConeSuiteAgainstEvaluation:
     # the light-cone suite sets fixed[R] as LOC1 does in the left-first
     # frame, so it is read from the LOC1 left-first entries of the memo;
-    # both must equal a fresh light-cone evaluation
+    # both must equal a direct light-cone evaluation
     @settings(max_examples=300, deadline=None)
     @given(**RANDOM_SUPPORT_ARGS)
     def test_random_zero_patterns(
@@ -301,7 +298,7 @@ class TestLightConeSuiteAgainstEvaluation:
         model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
         loc1_l_first = theorem_suite(model_l, LOC1).statements
         suite = frame_comparison(table, epsilon).suites[LIGHT_CONE_KEY]
-        expected = catalogued_reports(hand_built(model_l), LIGHT_CONE)
+        expected = catalogued_reports(model_l, LIGHT_CONE)
         assert suite.statements == expected
         assert suite.locality is LIGHT_CONE
         assert suite.frame is FrameOrdering.LEFT_BEFORE_RIGHT
@@ -319,7 +316,7 @@ class TestLightConeSuiteAgainstEvaluation:
         table = JointProbabilityTable(entries)
         suite = frame_comparison(table).suites[LIGHT_CONE_KEY]
         assert suite.statements["stmt3"].vacuous_flags
-        expected = catalogued_reports(hand_built(enumerate_worlds(table)), LIGHT_CONE)
+        expected = catalogued_reports(enumerate_worlds(table), LIGHT_CONE)
         assert suite.statements == expected
 
 
@@ -377,12 +374,12 @@ class TestProtectionKey:
         for frame, locality in pairs:
             model = enumerate_worlds(table, epsilon, frame)
             suite = theorem_suite(model, locality)
-            assert suite.statements == catalogued_reports(hand_built(model), locality)
+            assert suite.statements == catalogued_reports(model, locality)
             assert (suite.frame, suite.locality) == (frame, locality)
 
 
 def fresh(table):
-    """An equal table that shares no memo with ``table``."""
+    """An equal table that shares no world tuple with ``table``."""
     return JointProbabilityTable(dict(table.entries))
 
 
@@ -419,11 +416,13 @@ class TestSharedVerdicts:
         table = free_choice_table(zero_pattern, on_threshold, positives, epsilon, order)
         for index in analyses:
             shared = ANALYSES[index](table, epsilon, frame, locality)
+            analysis._memo.clear()
             alone = ANALYSES[index](fresh(table), epsilon, frame, locality)
             assert shared == alone
             assert repr(shared) == repr(alone)
         # a hand-built model on the same table, epsilon and frame but over
-        # fewer worlds must not read the table's verdicts
+        # fewer worlds has another mask, so it must not read the table's
+        # verdicts
         worlds = list(enumerate_worlds(table, epsilon, frame).worlds)
         del worlds[dropped % len(worlds)]
         hand_built = WorldModel(worlds, table, epsilon, frame)
@@ -446,8 +445,8 @@ class TestSharedVerdicts:
         assert [str(w) for w in shared.witnesses] == ["(L1,R2,+,+)", "(L1,R2,-,+)"]
         assert [str(w) for w in own.witnesses] == ["(L1,R2,-,+)"]
         assert information_flow(hand_built).reports["f_of_L1"] == own
-        # an equal but distinct world tuple is hand-built too: worlds compare
-        # by their coordinates, so these carry other probabilities
+        # a hand-built model over the same worlds reads the same verdicts,
+        # reported on its own worlds, which carry other probabilities
         relabelled = tuple(
             World(w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, 0.5)
             for w in model.worlds
@@ -487,17 +486,27 @@ def sweep_op(table, frame, locality):
     )
 
 
+def memo_objects(value):
+    """Every object a memo key or value holds, tuples walked through."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from memo_objects(item)
+
+
+@pytest.mark.usefixtures("empty_memo")
 class TestSharingTripwires:
     @pytest.mark.parametrize("frame", list(FrameOrdering))
-    @pytest.mark.parametrize(
-        "locality, calls", [(LOC1, 6), (LIGHT_CONE, 6)], ids=["loc1", "lightcone"]
-    )
+    @pytest.mark.parametrize("locality", [LOC1, LIGHT_CONE], ids=["loc1", "lightcone"])
     def test_eval_model_calls_per_sweep_op(
-        self, canonical_pair, monkeypatch, frame, locality, calls
+        self, uniform_table, monkeypatch, frame, locality
     ):
         # every catalogued verdict rests on fixed[R]: the op's suite sets it
         # or clears it, the flow reads that suite again, and the frame
-        # comparison reads it and adds the other value of the bit
+        # comparison reads it and adds the other value of the bit.  Verdicts
+        # rest on the possible worlds alone, so another family member, with
+        # the same support, evaluates nothing; the uniform table, with full
+        # support, evaluates all six again
         seen = []
 
         def counting(model, formula, locality):
@@ -507,24 +516,50 @@ class TestSharingTripwires:
         # analysis binds eval_model at import, so both names are patched
         monkeypatch.setattr(semantics, "eval_model", counting)
         monkeypatch.setattr(analysis, "eval_model", counting)
-        sweep_op(probability_table(*canonical_pair), frame, locality)
-        assert len(seen) == calls
+        sweep_op(probability_table(*hardy_family(0.3)), frame, locality)
+        assert len(seen) == 6
+        sweep_op(probability_table(*hardy_family(0.2)), frame, locality)
+        assert len(seen) == 6
+        sweep_op(uniform_table, frame, locality)
+        assert len(seen) == 12
 
-    def test_memo_holds_six_reports_per_epsilon(self, canonical_pair):
-        # three statements times the two values of fixed[R]
-        table = probability_table(*canonical_pair)
-        for epsilon in (1e-9, 1e-3):
-            for frame, locality in PAIRS:
-                model = enumerate_worlds(table, epsilon, frame)
-                theorem_suite(model, locality)
-                information_flow(model, locality)
-            frame_comparison(table, epsilon)
-        for epsilon in (1e-9, 1e-3):
-            reports = [k for k in table._memo if isinstance(k, tuple) and k[0] == epsilon]
-            assert 0 < len(reports) <= 6
+    def test_memo_holds_seven_entries_per_mask(self, canonical_pair, uniform_table):
+        # three statements times the two values of fixed[R], and the
+        # divergence results; no world, model or table
+        tables = [probability_table(*canonical_pair), uniform_table]
+        for table in tables:
+            for epsilon in (1e-9, 1e-3):
+                for frame, locality in PAIRS:
+                    model = enumerate_worlds(table, epsilon, frame)
+                    theorem_suite(model, locality)
+                    information_flow(model, locality)
+                frame_comparison(table, epsilon)
+        masks = {enumerate_worlds(t, eps).mask for t in tables for eps in (1e-9, 1e-3)}
+        per_mask = {
+            mask: [key for key in analysis._memo if key[0] == mask] for mask in masks
+        }
+        assert {len(keys) for keys in per_mask.values()} == {7}
+        assert sum(map(len, per_mask.values())) == len(analysis._memo)
+        held = [
+            obj for item in analysis._memo.items() for obj in memo_objects(item)
+        ]
+        assert not any(
+            isinstance(obj, (World, WorldModel, JointProbabilityTable)) for obj in held
+        )
+
+    def test_memo_stays_within_its_bound(self, uniform_table, monkeypatch):
+        # each table lacks one cell of the uniform one: twelve supports of
+        # three suite entries each, past a bound of ten
+        monkeypatch.setattr(analysis, "_MEMO_LIMIT", 10)
+        for cell in CELLS[:12]:
+            table = JointProbabilityTable({**uniform_table.entries, cell: 0.0})
+            model = enumerate_worlds(table)
+            suite = theorem_suite(model)
+            assert 0 < len(analysis._memo) <= 10
+            assert suite.statements == catalogued_reports(model, LOC1)
 
     def test_table_is_freed_without_the_cycle_collector(self, canonical_pair):
-        # the memo holds world sets and reports, nothing that refers back
+        # the memos hold world sets and positions, nothing that refers back
         # to the table, so reference counting alone frees it
         enabled = gc.isenabled()
         gc.disable()
@@ -539,6 +574,73 @@ class TestSharingTripwires:
         finally:
             if enabled:
                 gc.enable()
+
+
+def same_support(table, epsilon):
+    """``table`` with every possible cell at another probability."""
+    return JointProbabilityTable(
+        {cell: p * 1.5 if p > epsilon else p for cell, p in table.entries.items()}
+    )
+
+
+def relabelled(model):
+    """A hand-built model over the same worlds at probability 0.5."""
+    worlds = [
+        World(w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, 0.5)
+        for w in model.worlds
+    ]
+    return WorldModel(worlds, model.table, model.epsilon, model.frame)
+
+
+class TestMaskMemo:
+    def assert_served(self, report, model, formula, locality):
+        # labels included; equal worlds may differ in probability, so each
+        # world must be the model's own object
+        direct = eval_model(model, formula, locality)
+        assert report == direct
+        assert all(map(operator.is_, report.witnesses, direct.witnesses))
+        assert all(
+            a.world is b.world for a, b in zip(report.vacuous_flags, direct.vacuous_flags)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(**RANDOM_SUPPORT_ARGS)
+    def test_served_reports_are_built_on_each_model_s_worlds(
+        self, zero_pattern, on_threshold, positives, epsilon, order
+    ):
+        # the first table fills the memo; the second, with the same support,
+        # and the hand-built models read it
+        analysis._memo.clear()
+        table = free_choice_table(zero_pattern, on_threshold, positives, epsilon, order)
+        statements = catalog().statements()
+        for source in (table, same_support(table, epsilon)):
+            comparison = frame_comparison(source, epsilon)
+            for frame, locality in PAIRS:
+                model = enumerate_worlds(source, epsilon, frame)
+                for candidate in (model, relabelled(model)):
+                    suite = theorem_suite(candidate, locality)
+                    for name, report in suite.statements.items():
+                        self.assert_served(report, candidate, statements[name], locality)
+                    flow = information_flow(candidate, locality)
+                    assert flow.reports == {
+                        "f_of_L2": suite.statements["stmt1"],
+                        "f_of_L1": suite.statements["stmt2"],
+                    }
+                    if flow.witness is not None:
+                        assert any(flow.witness is w for w in candidate.worlds)
+            for key, suite in comparison.suites.items():
+                model = enumerate_worlds(source, epsilon, suite.frame)
+                for name, report in suite.statements.items():
+                    self.assert_served(report, model, statements[name], suite.locality)
+            model_l = enumerate_worlds(source, epsilon)
+            if comparison.divergence is not None:
+                pivot = comparison.divergence.world
+                assert any(pivot is w for w in model_l.worlds)
+                formula = parse(DIVERGENCE_TEXT)
+                assert comparison.divergence.results == {
+                    LOC1_L_FIRST: eval_world(model_l, pivot, formula, LOC1),
+                    LIGHT_CONE_KEY: eval_world(model_l, pivot, formula, LIGHT_CONE),
+                }
 
 
 @pytest.mark.parametrize(

@@ -786,6 +786,23 @@ class TestEntryPoints:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.usefixtures("empty_memo")
+    def test_in_process_runs_print_what_fresh_processes_print(self, capsys):
+        # the two family members have the same possible worlds, so the
+        # second reads the first one's verdicts; its worlds' probabilities
+        # must still be its own
+        for family in ("0.3", "0.2"):
+            for command in ("flow", "suite", "frames"):
+                argv = [command, "--family", family, "--format", "json"]
+                proc = subprocess.run(
+                    [sys.executable, "-m", "hardyworlds", *argv],
+                    capture_output=True,
+                    text=True,
+                    env=CHILD_ENV,
+                )
+                fresh = (proc.returncode, proc.stdout, proc.stderr)
+                assert run_cli(capsys, *argv) == fresh
+
     def test_cli_import_loads_no_numeric_libraries(self):
         # nor the slow-to-import stdlib modules the CLI does not need
         unwanted = {"numpy", "scipy", "dataclasses", "inspect", "fractions"}
