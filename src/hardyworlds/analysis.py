@@ -94,6 +94,13 @@ def _statements_with_regions() -> dict[str, tuple[Formula, tuple[Region, ...]]]:
 
 
 @cache
+def _statements_with_bits(frame: FrameOrdering, locality: LocalityCondition) -> dict:
+    """Each catalogued statement and the ``fixed`` bits it consults, once per pair."""
+    return {name: (f, tuple(fixed(frame, locality, r) for r in regions))
+            for name, (f, regions) in _statements_with_regions().items()}
+
+
+@cache
 def _divergence_formula() -> Formula:
     return parse(DIVERGENCE_TEXT)
 
@@ -139,12 +146,12 @@ def _catalogued_reports(
     """The named catalogued statements' reports on ``model``, labelled with
     ``locality`` and its frame, read from the memo under the model's world
     mask, the statement and the ``fixed`` bits it consults."""
-    consulted = _statements_with_regions()
     worlds, frame = model.worlds, model.frame
+    consulted = _statements_with_bits(frame, locality)
     reports = []
     for name in names:
-        formula, regions = consulted[name]
-        key = (model.mask, name, tuple(fixed(frame, locality, r) for r in regions))
+        formula, bits = consulted[name]
+        key = (model.mask, name, bits)
         holds, witnesses, flags = _memoized(key, _evidence, model, formula, locality)
         reports.append(TruthReport(
             formula, holds, tuple([worlds[i] for i in witnesses]), locality, frame,

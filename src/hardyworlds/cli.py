@@ -2,13 +2,14 @@
 
 Subcommands: model show, check, suite, flow, frames, lhv, hardy-scan.
 Exit codes: 0 success, 1 failed expectation or strict false check, 2 usage,
-formula parse or formula depth error, 3 invalid or inconsistent model.
+formula parse or depth error, 3 invalid or inconsistent model, 4 closed stdout.
 Each subcommand builds one JSON payload and reads its text and checks from it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -496,7 +497,13 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         lines = [json.dumps(payload, indent=2)]
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # stdout is flushed again at exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
     exit_code = apply_expectations(expectations, checks)
     if args.strict and checks.get("holds") is False:
         exit_code = 1

@@ -32,10 +32,8 @@ def _as_complex(entry: Any, what: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(
-            isinstance(part, (int, float)) and not isinstance(part, bool)
-            for part in entry
-        )
+        or not isinstance(entry[0], (int, float)) or isinstance(entry[0], bool)
+        or not isinstance(entry[1], (int, float)) or isinstance(entry[1], bool)
     ):
         raise InvalidModelError(f"{what} must be an [re, im] pair, got {entry!r}")
     try:

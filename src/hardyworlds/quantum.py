@@ -228,25 +228,26 @@ class JointProbabilityTable(Record):
 
     ``entries`` maps (left setting, right setting, left outcome, right
     outcome) to a probability and iterates in ``CELLS`` order.  The
-    constructor checks completeness and nonnegativity; ``validate_rows``
-    additionally checks that each setting pair's four probabilities sum to 1,
+    constructor checks nonnegativity and completeness, by comparing key sets
+    (64 enum hashes) only for entries not already in ``CELLS`` order.
+    ``validate_rows`` checks that each setting pair's four probabilities sum to 1,
     which holds for every table produced by ``probability_table`` but can be
     skipped for deliberately degenerate tables used to exercise error paths.
 
     ``_memo`` is a private dict, not a field: ``enumerate_worlds`` keeps
-    there each epsilon's world tuple, so every analysis of one table builds
-    it once.  It holds no reference back to the table.
+    there each epsilon's world tuple, built once per table.  It holds no
+    model or other reference back to the table, so it makes no cycle.
     """
 
     entries: Mapping[TableKey, float]
 
     def __init__(self, entries: Mapping[TableKey, float]) -> None:
         entries = dict(entries)
-        if entries.keys() != CELL_INDEX.keys():
-            raise InvalidModelError(
-                "table must contain exactly the 16 setting/outcome combinations"
-            )
         if tuple(entries) != CELLS:
+            if entries.keys() != CELL_INDEX.keys():
+                raise InvalidModelError(
+                    "table must contain exactly the 16 setting/outcome combinations"
+                )
             entries = {key: entries[key] for key in CELLS}
         for key, value in entries.items():
             p = float(value)
@@ -300,16 +301,15 @@ class HardyConstraintReport(Record):
 
 
 def _born(
-    amplitudes: tuple[complex, complex, complex, complex],
+    conjugate_amplitudes: tuple[complex, complex, complex, complex],
     left_vector: ComplexVector,
     right_vector: ComplexVector,
 ) -> float:
-    """|<lv (x) rv|psi>|^2 for already validated amplitudes and vectors."""
-    l0, l1 = left_vector[0].conjugate(), left_vector[1].conjugate()
-    r0, r1 = right_vector[0].conjugate(), right_vector[1].conjugate()
-    a00, a01, a10, a11 = amplitudes
-    # grouped by left bit, the order numpy.einsum summed in, so tables match
-    # earlier releases bit for bit
+    """|<psi|lv (x) rv>|^2, the Born value, from psi's conjugated amplitudes."""
+    (l0, l1), (r0, r1) = left_vector, right_vector
+    a00, a01, a10, a11 = conjugate_amplitudes
+    # grouped by left bit, as numpy.einsum summed; conjugating psi, not the
+    # vectors, is exact, so tables match earlier releases bit for bit
     amplitude = (l0 * r0 * a00 + l0 * r1 * a01) + (l1 * r0 * a10 + l1 * r1 * a11)
     return min(max(abs(amplitude) ** 2, 0.0), 1.0)
 
@@ -326,7 +326,7 @@ def joint_probability(
     lv = _as_complex_pair(left_vector, "left vector")
     rv = _as_complex_pair(right_vector, "right vector")
     _check_units(lv, rv, "left vector", "right vector")
-    return _born(state.amplitudes, lv, rv)
+    return _born(tuple(a.conjugate() for a in state.amplitudes), lv, rv)
 
 
 def probability_table(
@@ -335,16 +335,17 @@ def probability_table(
     """Full conditional outcome table of ``state`` under ``config``.
 
     The state and the bases validated their vectors when they were built,
-    so each cell is a bare Born sum.
+    so each cell is a bare Born sum; the amplitudes are conjugated once.
     """
+    amplitudes = tuple(a.conjugate() for a in state.amplitudes)
     left = [[config.vector_for(s, o) for o in OUTCOMES] for s in LEFT_SETTINGS]
     right = [[config.vector_for(s, o) for o in OUTCOMES] for s in RIGHT_SETTINGS]
     # the same nesting as CELLS: setting pair, then outcome pair
-    probabilities = (
-        _born(state.amplitudes, lv, rv)
+    probabilities = [
+        _born(amplitudes, lv, rv)
         for lvs, rvs in product(left, right)
         for lv, rv in product(lvs, rvs)
-    )
+    ]
     table = JointProbabilityTable(dict(zip(CELLS, probabilities)))
     table.validate_rows()
     return table
@@ -413,7 +414,7 @@ def verify_hardy_constraints(
 
 def _family_h4(x: float) -> float:
     """h4 = P(L1+, R2+ | L1, R2) of member x: both settings use the tilted
-    basis, so this is the table cell, from the checked float tuples."""
+    basis, so this is the table cell, from the checked real float tuples."""
     amplitudes, plus, _ = _family_vectors(x)
     return _born(amplitudes, plus, plus)
 

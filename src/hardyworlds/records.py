@@ -15,10 +15,10 @@ field tuple, so a record holding a mapping is unhashable.  ``repr`` lists
 every field as ``Name(field=value, ...)``.
 
 A record may also set attributes that are not fields, derived from its
-fields: ``World.index``, ``WorldModel.mask`` or the memo
-``JointProbabilityTable._memo``.
-It sets them in its own ``__init__`` like a field; they play no part in
-equality, hashing or ``repr``.
+fields: ``World.index``, ``WorldModel.mask`` or ``JointProbabilityTable._memo``.
+It sets them in its own ``__init__`` like a field, or a builder that skips
+the checks sets them with the fields (``enumerate_worlds``, ``World._set``);
+they play no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations

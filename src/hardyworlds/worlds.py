@@ -14,14 +14,15 @@ from typing import Any, Iterable, Iterator
 from .errors import InconsistentModelError
 from .labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
 from .quantum import EPSILON_DEFAULT, EPSILON_MAX  # re-exported
-from .quantum import CELL_INDEX, JointProbabilityTable, check_epsilon, support
+from .quantum import CELL_INDEX, CELLS, JointProbabilityTable, check_epsilon, support
 from .records import Record
 
 
 class World(Record):
     """One setting/outcome combination.  ``index`` is its position in
     ``CELLS``, the order of a model's worlds; ``probability`` is not part of
-    its identity, so equality and hashing use the four coordinates alone."""
+    its identity, so equality and hashing use the four coordinates alone.
+    The constructor checks its cell; ``enumerate_worlds`` skips the checks."""
 
     left_setting: Setting
     right_setting: Setting
@@ -41,13 +42,18 @@ class World(Record):
             raise ValueError(f"{left_setting} is not a left setting")
         if right_setting.region is not Region.RIGHT:
             raise ValueError(f"{right_setting} is not a right setting")
+        cell = (left_setting, right_setting, left_outcome, right_outcome)
+        self._set(cell, probability, CELL_INDEX[cell])
+
+    def _set(self, cell: tuple, probability: float, index: int) -> None:
+        """Set the fields and ``index`` unchecked; not via ``__dict__``, which slows reads."""
+        left_setting, right_setting, left_outcome, right_outcome = cell
         object.__setattr__(self, "left_setting", left_setting)
         object.__setattr__(self, "right_setting", right_setting)
         object.__setattr__(self, "left_outcome", left_outcome)
         object.__setattr__(self, "right_outcome", right_outcome)
         object.__setattr__(self, "probability", probability)
-        cell = (left_setting, right_setting, left_outcome, right_outcome)
-        object.__setattr__(self, "index", CELL_INDEX[cell])
+        object.__setattr__(self, "index", index)
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
@@ -145,10 +151,10 @@ def enumerate_worlds(
     possible outcome for every pair.
 
     The worlds come in ``CELLS`` order, the order of the table's entries.
-    They are built once per table and epsilon and kept, as one tuple, in the
-    table's memo under the epsilon; later calls, in either frame, wrap that
-    same tuple in a new model.  A table that violates free choice keeps
-    nothing, so every call raises.
+    They are built once per table and epsilon, from ``CELLS`` by the unchecked
+    ``World._set``, and kept, as one tuple, in the table's memo under the
+    epsilon; later calls, in either frame, wrap that same tuple in a new
+    model.  A table that violates free choice keeps nothing, so every call raises.
     """
     epsilon = check_epsilon(epsilon)
     memo = table._memo
@@ -162,9 +168,10 @@ def enumerate_worlds(
                     f"free-choice violation: settings ({ls}, {rs}) admit no "
                     f"outcome with probability above {epsilon}"
                 )
-        worlds = memo[epsilon] = tuple(
-            World(ls, rs, lo, ro, probability=p)
-            for i, ((ls, rs, lo, ro), p) in enumerate(table.entries.items())
-            if possible >> i & 1
-        )
+        built = []
+        for i, p in enumerate(table.entries.values()):
+            if possible >> i & 1:
+                built.append(world := object.__new__(World))
+                world._set(CELLS[i], p, i)
+        worlds = memo[epsilon] = tuple(built)
     return WorldModel(worlds=worlds, table=table, epsilon=epsilon, frame=frame)

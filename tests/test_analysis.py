@@ -38,6 +38,7 @@ from hardyworlds.formulas import (
 from hardyworlds.labels import FrameOrdering, Outcome, Region, Setting
 from hardyworlds.quantum import (
     CELLS,
+    COMPUTATIONAL_BASIS,
     BipartiteState,
     ExperimentConfig,
     JointProbabilityTable,
@@ -48,6 +49,7 @@ from hardyworlds.quantum import (
     verify_hardy_constraints,
 )
 from hardyworlds.errors import DomainError, InconsistentModelError
+from hardyworlds.modelio import dump_model, parse_model
 from hardyworlds.semantics import (
     LocalityCondition, changed_regions, eval_model, eval_world, fixed,
 )
@@ -558,19 +560,33 @@ class TestSharingTripwires:
             assert 0 < len(analysis._memo) <= 10
             assert suite.statements == catalogued_reports(model, LOC1)
 
-    def test_table_is_freed_without_the_cycle_collector(self, canonical_pair):
-        # the memos hold world sets and positions, nothing that refers back
-        # to the table, so reference counting alone frees it
+    def test_table_is_freed_without_the_cycle_collector(self, uniform_table):
+        # everything a sweep op returns is held, as the benchmark holds it,
+        # then dropped at once.  The memos hold world sets and positions,
+        # nothing that refers back to the table, so reference counting alone
+        # frees the table, its worlds and every report; a table memo that
+        # kept a model would form a table <-> model cycle and keep them all
+        state = BipartiteState([0.6, 0.0, 0.0, 0.8])
+        config = ExperimentConfig(
+            left={1: MeasurementBasis((0.6, 0.8), (0.8, -0.6)), 2: COMPUTATIONAL_BASIS},
+            right={1: COMPUTATIONAL_BASIS, 2: MeasurementBasis((0.8, 0.6), (0.6, -0.8))},
+        )
+        sources = {
+            "family": lambda: probability_table(*hardy_family(0.2)),
+            "document": lambda: probability_table(*parse_model(dump_model(state, config))),
+            "hand-built": lambda: JointProbabilityTable(uniform_table.entries),
+        }
         enabled = gc.isenabled()
         gc.disable()
         try:
-            table = probability_table(*canonical_pair)
-            for frame in FrameOrdering:
-                for locality in LocalityCondition:
-                    sweep_op(table, frame, locality)
-            ref = weakref.ref(table)
-            del table
-            assert ref() is None
+            for (name, build), (frame, locality) in itertools.product(sources.items(), PAIRS):
+                table = build()
+                model, suite, *rest = sweep_op(table, frame, locality)
+                refs = [weakref.ref(obj) for obj in (
+                    table, model, model.worlds[0], suite, suite.statements["stmt1"], *rest
+                )]
+                del table, model, suite, rest
+                assert [ref() for ref in refs] == [None] * len(refs), (name, frame, locality)
         finally:
             if enabled:
                 gc.enable()

@@ -764,6 +764,31 @@ class TestEntryPoints:
         )
         assert proc.returncode == 2
 
+    CLOSED_READER_RUNS = {
+        "suite": ["suite"],
+        "suite json": ["suite", "--format", "json"],
+        "model show": ["model", "show"],
+        "strict check": ["check", "L1 & L2", "--strict"],
+    }
+
+    @pytest.mark.parametrize("argv", CLOSED_READER_RUNS.values(), ids=CLOSED_READER_RUNS)
+    def test_a_closed_reader_gives_exit_4_and_no_traceback(self, argv):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails, whatever the scheduling
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hardyworlds", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=CHILD_ENV,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert proc.stderr == b""
+
     # world and witness order comes from CELLS, not from set iteration, so
     # fresh processes under different hash seeds print the same bytes
     HASH_SEED_RUNS = {

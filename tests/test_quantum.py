@@ -349,12 +349,28 @@ class TestProbabilityTable:
             left={1: random_basis(l1), 2: random_basis(l2)},
             right={1: random_basis(r1), 2: random_basis(r2)},
         )
+        self.assert_cells_equal_joint_probability(state, config)
+
+    @staticmethod
+    def assert_cells_equal_joint_probability(state, config):
         table = probability_table(state, config)
         for key in CELLS:
             ls, rs, lo, ro = key
             assert table.entries[key] == joint_probability(
                 state, config.vector_for(ls, lo), config.vector_for(rs, ro)
             ), key
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+    def test_family_cells_equal_joint_probability_exactly(self, x):
+        # probability_table conjugates the amplitudes once per table,
+        # joint_probability once per call; both sum through _born
+        self.assert_cells_equal_joint_probability(*hardy_family(x))
+
+    def test_family_grid_cells_equal_joint_probability_exactly(self):
+        # hardy_scan's default grid
+        for j in range(1000):
+            self.assert_cells_equal_joint_probability(*hardy_family(0.5 * (j + 1) / 1001))
 
     def test_entries_iterate_in_cell_order(self, canonical_table):
         assert tuple(canonical_table.entries) == CELLS

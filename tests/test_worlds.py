@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from hardyworlds import worlds
 from hardyworlds.errors import DomainError, InconsistentModelError
 from hardyworlds.labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
 from hardyworlds.quantum import CELLS, JointProbabilityTable, probability_table
@@ -117,29 +116,31 @@ class TestEnumerateWorlds:
         with pytest.raises(DomainError):
             enumerate_worlds(canonical_table, epsilon=epsilon)
 
-    def test_worlds_are_built_once_per_table_and_epsilon(
-        self, canonical_pair, monkeypatch
-    ):
-        built = []
+    def test_worlds_are_built_once_per_table_and_epsilon(self, canonical_pair):
+        # every model is kept alive, so distinct World objects have distinct
+        # ids and their count is the number of worlds built
+        models = []
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return World(*args, **kwargs)
+        def built(model):
+            models.append(model)
+            return len({id(w) for m in models for w in m.worlds})
 
-        monkeypatch.setattr(worlds, "World", counting)
         table = probability_table(*canonical_pair)
         left = enumerate_worlds(table, 1e-9, FrameOrdering.LEFT_BEFORE_RIGHT)
         right = enumerate_worlds(table, 1e-9, FrameOrdering.RIGHT_BEFORE_LEFT)
-        assert len(built) == 13
+        built(left)
+        assert built(right) == 13
         assert right.worlds is left.worlds
         assert right.frame is FrameOrdering.RIGHT_BEFORE_LEFT
-        assert enumerate_worlds(table, 1e-3).worlds is not left.worlds
-        assert len(built) == 26
+        coarse = enumerate_worlds(table, 1e-3)
+        assert coarse.worlds is not left.worlds
+        assert built(coarse) == 26
         assert enumerate_worlds(table, 1e-9).worlds is left.worlds
         # an equal table keeps its own world sets
         copy = JointProbabilityTable(table.entries)
-        assert enumerate_worlds(copy).worlds == left.worlds
-        assert len(built) == 39
+        copied = enumerate_worlds(copy)
+        assert copied.worlds == left.worlds
+        assert built(copied) == 39
 
     def test_degenerate_pair_rejected(self, canonical_table):
         entries = dict(canonical_table.entries)
@@ -176,3 +177,59 @@ class TestEnumerateWorlds:
             assert w.probability == canonical_table.entries[
                 (w.left_setting, w.right_setting, w.left_outcome, w.right_outcome)
             ]
+
+
+def supports_of(table):
+    """Every epsilon at which ``table``'s support changes, each just below a
+    distinct cell value in (0, 0.1), and the default 1e-9."""
+    values = sorted({p for p in table.entries.values() if 0.0 < p < 0.1})
+    return [1e-9] + [p * (1 - 1e-9) for p in values if p * (1 - 1e-9) > 1e-9]
+
+
+class TestUncheckedWorlds:
+    """enumerate_worlds builds worlds from CELLS without World.__init__'s
+    checks; nothing may tell the two kinds apart."""
+
+    FIELDS = ("left_setting", "right_setting", "left_outcome", "right_outcome",
+              "probability", "index")
+
+    def tables(self, canonical_table, uniform_table):
+        rng = random.Random(16)
+        yield canonical_table
+        yield uniform_table
+        for _ in range(100):
+            # every row keeps one cell above 0.1, so each epsilon below is valid
+            values = [rng.choice((0.0, rng.uniform(1e-8, 0.09))) for _ in CELLS]
+            for k in range(4):
+                values[4 * k + rng.randrange(4)] = rng.uniform(0.1, 1.0)
+            yield JointProbabilityTable(dict(zip(CELLS, values)))
+
+    def test_enumerated_worlds_equal_checked_ones(self, canonical_table, uniform_table):
+        supports = 0
+        for table in self.tables(canonical_table, uniform_table):
+            for epsilon in supports_of(table):
+                model = enumerate_worlds(table, epsilon)
+                assert [w.index for w in model] == [
+                    i for i, p in enumerate(table.entries.values()) if p > epsilon
+                ]
+                for w in model:
+                    checked = World(*CELLS[w.index], probability=table.entries[CELLS[w.index]])
+                    assert type(w) is World
+                    assert w == checked
+                    assert w.index == checked.index
+                    assert repr(w) == repr(checked)
+                    assert hash(w) == hash(checked)
+                    assert w._values() == checked._values()
+                    assert list(vars(w).items()) == list(vars(checked).items())
+                supports += 1
+        assert supports > 300
+
+    def test_enumerated_worlds_are_frozen(self, canonical_model):
+        for w in canonical_model:
+            for name in self.FIELDS:
+                with pytest.raises(AttributeError):
+                    setattr(w, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(w, name)
+            with pytest.raises(AttributeError):
+                w.extra = 1
