@@ -11,8 +11,6 @@ public name or submodule attribute loads its submodule on first use (a PEP
 562 module ``__getattr__``), so a program pays only for the layers it uses.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Each submodule and the public names the package takes from it.
@@ -57,8 +55,9 @@ def __getattr__(name: str):
     module = name if name in _EXPORTS else _ORIGIN.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # importing a submodule also binds it as an attribute of the package
-    value = importlib.import_module(f"{__name__}.{module}")
+    # importing binds the submodule on the package; -X importtime sees __import__
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
     if module != name:
         value = globals()[name] = getattr(value, name)
     return value

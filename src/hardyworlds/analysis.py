@@ -29,7 +29,7 @@ from functools import cache
 from itertools import product
 from typing import Mapping
 
-from .formulas import Entails, Formula, SettingAtom, parse, pretty_print
+from .formulas import Formula, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
 from .quantum import CELL_INDEX, CELLS, HARDY_CELLS, JointProbabilityTable
 from .quantum import check_epsilon, support
@@ -50,8 +50,8 @@ LOC1_L_FIRST = "loc1-l-first"
 LOC1_R_FIRST = "loc1-r-first"
 LIGHT_CONE_KEY = "lightcone"
 
-# a world mask takes at most seven entries (three statements times the two
-# values of fixed[R], and the divergence results), so about 146 world sets
+# a mask takes at most eight entries (three statements times the two values
+# of fixed[R], the divergence results and the LHV verdict), so 128 supports
 # fit; a sweep meets few, and a full memo costs only re-evaluation
 _MEMO_LIMIT = 1024
 _memo: dict[tuple, tuple] = {}
@@ -67,12 +67,6 @@ class FormulaCatalog(Record):
 
     def statements(self) -> dict[str, Formula]:
         return {"stmt1": self.stmt1, "stmt2": self.stmt2, "stmt3": self.stmt3}
-
-    def conditioned_on(self, left_setting: Setting) -> Formula:
-        """The shared right-region statement entailed by a left choice."""
-        if left_setting.region is not Region.LEFT:
-            raise ValueError(f"{left_setting} is not a left setting")
-        return Entails(SettingAtom(left_setting), self.right_region_statement)
 
 
 @cache
@@ -111,9 +105,6 @@ class SuiteReport(Record):
     statements: Mapping[str, TruthReport]
     locality: LocalityCondition
     frame: FrameOrdering
-
-    def truth_values(self) -> dict[str, bool]:
-        return {name: report.holds for name, report in self.statements.items()}
 
 
 def _memoized(key: tuple, compute, *args) -> tuple:
@@ -208,9 +199,9 @@ def information_flow(
     """Compare the statement's truth under the two left-side conditionings.
 
     The statement entailed by L2 is the suite's stmt1 and the one entailed
-    by L1 is stmt2 (``FormulaCatalog.conditioned_on``), so f_of_L2 and
-    f_of_L1 are the suite's own reports of those two statements, shared
-    with ``theorem_suite`` on the same model and locality.
+    by L1 is stmt2, so f_of_L2 and f_of_L1 are the suite's own reports of
+    those two statements, shared with ``theorem_suite`` on the same model
+    and locality.
     """
     report_l2, report_l1 = _catalogued_reports(model, locality, ("stmt1", "stmt2"))
     dependent = report_l2.holds != report_l1.holds
@@ -369,14 +360,12 @@ def _strategy_masks() -> tuple[tuple[DeterministicStrategy, int, str], ...]:
     return tuple(entries)
 
 
-def lhv_feasibility(
-    table: JointProbabilityTable,
-    epsilon: float = EPSILON_DEFAULT,
-) -> FeasibilityReport:
-    """Possibilistic check of the 16 local deterministic strategies."""
+def _lhv_evidence(positive: int) -> tuple:
+    """The verdict on a support as the memo keeps it: the excluded strategies
+    with labels, the survivors, the first uncovered cell's position or None,
+    and the trace, with a format field for that cell's probability."""
     strategies = _strategy_masks()
     cell_texts, zero_labels, named = _cell_labels()
-    positive = support(table, check_epsilon(epsilon))
     zero = ((1 << len(CELLS)) - 1) & ~positive
 
     def excluded_by(mask: int) -> str:
@@ -395,12 +384,12 @@ def lhv_feasibility(
             coverage |= mask
 
     uncovered = positive & ~coverage
+    index = _lowest_index(uncovered) if uncovered else None
     if uncovered:
-        index = _lowest_index(uncovered)
+        # no label holds a brace, so the trace is a format string
         lines = [
             f"table demands {cell_texts[index]} > 0 "
-            f"(= {table.entries[CELLS[index]]:.9f}), but every deterministic strategy "
-            "producing that pair is excluded:"
+            "(= {:.9f}), but every deterministic strategy producing that pair is excluded:"
         ]
         for _, mask, label in strategies:
             if mask >> index & 1:
@@ -416,9 +405,16 @@ def lhv_feasibility(
             f"the {len(survivors)} surviving strategies; a uniform mixture "
             "over them realizes every required positivity"
         )
-    return FeasibilityReport(
-        feasible=not uncovered,
-        excluded_strategies=tuple(excluded),
-        contradiction_trace=trace,
-        surviving_strategies=tuple(survivors),
-    )
+    return tuple(excluded), tuple(survivors), index, trace
+
+
+def lhv_feasibility(
+    table: JointProbabilityTable,
+    epsilon: float = EPSILON_DEFAULT,
+) -> FeasibilityReport:
+    """Possibilistic check of the 16 local deterministic strategies, memoized
+    by support; only an infeasible trace's probability is read from ``table``."""
+    positive = support(table, check_epsilon(epsilon))
+    excluded, survivors, index, trace = _memoized((positive, "lhv"), _lhv_evidence, positive)
+    trace = trace if index is None else trace.format(table.values[index])
+    return FeasibilityReport(index is None, excluded, trace, survivors)

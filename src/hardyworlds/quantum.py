@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import math
 from cmath import isfinite
+from collections.abc import Iterator, Mapping
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InvalidModelError
 from .labels import (
@@ -223,49 +224,72 @@ class ExperimentConfig(Record):
         return self.basis_for(setting).vector(outcome)
 
 
+class TableEntries(Mapping):
+    """A table's ``values`` as a read-only mapping from ``CELLS``, in order."""
+
+    def __init__(self, values: tuple[float, ...]) -> None:
+        self._values = values
+
+    def __getitem__(self, cell: TableKey) -> float:
+        return self._values[CELL_INDEX[cell]]
+
+    def __iter__(self) -> Iterator[TableKey]:
+        return iter(CELLS)
+
+    def __len__(self) -> int:
+        return len(CELLS)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({dict(self.items())!r})"
+
+
 class JointProbabilityTable(Record):
     """Conditional outcome distribution for each of the four setting pairs.
 
     ``entries`` maps (left setting, right setting, left outcome, right
-    outcome) to a probability and iterates in ``CELLS`` order.  The
-    constructor checks nonnegativity and completeness, by comparing key sets
-    (64 enum hashes) only for entries not already in ``CELLS`` order.
+    outcome) to a probability; the table keeps it as a ``TableEntries`` view
+    of ``values``, not a field: the probabilities in ``CELLS`` order.  The
+    constructor checks nonnegativity and completeness, comparing key sets
+    (64 enum hashes) only for a mapping not in ``CELLS`` order.
     ``validate_rows`` checks that each setting pair's four probabilities sum to 1,
     which holds for every table produced by ``probability_table`` but can be
     skipped for deliberately degenerate tables used to exercise error paths.
 
     ``_memo`` is a private dict, not a field: ``enumerate_worlds`` keeps
-    there each epsilon's world tuple, built once per table.  It holds no
-    model or other reference back to the table, so it makes no cycle.
+    there each epsilon's world tuple and support mask, built once per table.
+    It holds no model or other reference back to the table, so it makes no cycle.
     """
 
     entries: Mapping[TableKey, float]
 
     def __init__(self, entries: Mapping[TableKey, float]) -> None:
-        entries = dict(entries)
-        if tuple(entries) != CELLS:
-            if entries.keys() != CELL_INDEX.keys():
-                raise InvalidModelError(
-                    "table must contain exactly the 16 setting/outcome combinations"
-                )
-            entries = {key: entries[key] for key in CELLS}
-        for key, value in entries.items():
+        if entries.__class__ is TableEntries:  # its values are in CELLS order
+            given = entries._values
+        else:
+            entries = dict(entries)
+            if tuple(entries) != CELLS:
+                if entries.keys() != CELL_INDEX.keys():
+                    raise InvalidModelError(
+                        "table must contain exactly the 16 setting/outcome combinations"
+                    )
+                entries = {key: entries[key] for key in CELLS}
+            given = entries.values()
+        values = []
+        for key, value in zip(CELLS, given):
             p = float(value)
             if not math.isfinite(p):
                 raise InvalidModelError(f"probability for {key} is not finite")
             if p < 0.0:
                 raise InvalidModelError(f"probability for {key} is negative: {p!r}")
-            # storing hashes the tuple-of-enum key again, so only converted
-            # values are stored back
-            if type(value) is not float:
-                entries[key] = p
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+            values.append(p)
+        values = tuple(values)
+        object.__setattr__(self, "entries", TableEntries(values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_memo", {})
 
     def validate_rows(self) -> None:
-        values = tuple(self.entries.values())
         for k, (ls, rs) in enumerate(SETTING_PAIRS):
-            total = sum(values[4 * k : 4 * k + 4])
+            total = sum(self.values[4 * k : 4 * k + 4])
             if abs(total - 1.0) > ROW_SUM_TOL:
                 raise InvalidModelError(
                     f"outcome probabilities for ({ls}, {rs}) sum to {total!r}, "
@@ -275,8 +299,8 @@ class JointProbabilityTable(Record):
 
 def support(table: JointProbabilityTable, epsilon: float) -> int:
     """The cells possible at an ``epsilon`` that ``check_epsilon`` accepted:
-    bit i is set when CELLS[i], the table's i-th entry, is above it."""
-    return sum(1 << i for i, p in enumerate(table.entries.values()) if p > epsilon)
+    bit i is set when CELLS[i], the table's ``values[i]``, is above it."""
+    return sum(1 << i for i, p in enumerate(table.values) if p > epsilon)
 
 
 class HardyConstraintReport(Record):
@@ -294,10 +318,6 @@ class HardyConstraintReport(Record):
     epsilon: float
     satisfied: bool
     failures: tuple[str, ...] = ()
-
-    @property
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
 
 
 def _born(
@@ -346,7 +366,7 @@ def probability_table(
         for lvs, rvs in product(left, right)
         for lv, rv in product(lvs, rvs)
     ]
-    table = JointProbabilityTable(dict(zip(CELLS, probabilities)))
+    table = JointProbabilityTable(TableEntries(tuple(probabilities)))
     table.validate_rows()
     return table
 
@@ -405,7 +425,7 @@ def verify_hardy_constraints(
         if (possible >> CELL_INDEX[cell] & 1) == must_be_zero
     )
     return HardyConstraintReport(
-        *(table.entries[cell] for _, cell, _ in HARDY_CELLS),
+        *(table.values[CELL_INDEX[cell]] for _, cell, _ in HARDY_CELLS),
         epsilon=epsilon,
         satisfied=not failures,
         failures=failures,

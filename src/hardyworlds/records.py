@@ -14,10 +14,10 @@ the same class and their fields are equal in order; the hash is that of the
 field tuple, so a record holding a mapping is unhashable.  ``repr`` lists
 every field as ``Name(field=value, ...)``.
 
-A record may also set attributes that are not fields, derived from its
-fields: ``World.index``, ``WorldModel.mask`` or ``JointProbabilityTable._memo``.
-It sets them in its own ``__init__`` like a field, or a builder that skips
-the checks sets them with the fields (``enumerate_worlds``, ``World._set``);
+A record may also set attributes that are not fields: ``World.index``,
+``WorldModel.mask``, ``JointProbabilityTable.values`` or its ``_memo``.  It
+sets them in its own ``__init__`` like a field, or a builder that skips the
+checks sets them with the fields (``World._set``, ``WorldModel._set``);
 they play no part in equality, hashing or ``repr``.
 """
 

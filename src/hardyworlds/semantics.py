@@ -77,9 +77,6 @@ class VacuousFlag(Record):
     world: World
     counterfactual: Counterfactual
 
-    def describe(self) -> str:
-        return f"{pretty_print(self.counterfactual)} at {self.world}"
-
 
 class TruthReport(Record):
     """Outcome of checking one formula against a whole model.

@@ -113,11 +113,12 @@ class WorldModel(Record):
             if mask >> w.index:
                 raise ValueError("a model's worlds must be distinct and in CELLS order")
             mask |= 1 << w.index
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "mask", mask)
+        self._set(worlds, table, epsilon, frame, mask)
+
+    def _set(self, *values: Any) -> None:
+        """Set the fields and then ``mask``, in that order, unchecked."""
+        for name, value in zip((*self._fields, "mask"), values):
+            object.__setattr__(self, name, value)
 
     def find(
         self,
@@ -150,16 +151,17 @@ def enumerate_worlds(
     possible world at all; free choice of settings demands at least one
     possible outcome for every pair.
 
-    The worlds come in ``CELLS`` order, the order of the table's entries.
+    The worlds come in ``CELLS`` order, the order of the table's ``values``.
     They are built once per table and epsilon, from ``CELLS`` by the unchecked
-    ``World._set``, and kept, as one tuple, in the table's memo under the
-    epsilon; later calls, in either frame, wrap that same tuple in a new
-    model.  A table that violates free choice keeps nothing, so every call raises.
+    ``World._set``, and kept, as one tuple with its support mask, in the
+    table's memo under the epsilon; later calls, in either frame, wrap that
+    same tuple and mask in a new model.  A table that violates free choice
+    keeps nothing, so every call raises.
     """
     epsilon = check_epsilon(epsilon)
     memo = table._memo
-    worlds = memo.get(epsilon)
-    if worlds is None:
+    found = memo.get(epsilon)
+    if found is None:
         # the four cells of setting pair k are bits 4k..4k+3
         possible = support(table, epsilon)
         for k, (ls, rs) in enumerate(SETTING_PAIRS):
@@ -169,9 +171,11 @@ def enumerate_worlds(
                     f"outcome with probability above {epsilon}"
                 )
         built = []
-        for i, p in enumerate(table.entries.values()):
+        for i, p in enumerate(table.values):
             if possible >> i & 1:
                 built.append(world := object.__new__(World))
                 world._set(CELLS[i], p, i)
-        worlds = memo[epsilon] = tuple(built)
-    return WorldModel(worlds=worlds, table=table, epsilon=epsilon, frame=frame)
+        found = memo[epsilon] = (tuple(built), possible)
+    model = object.__new__(WorldModel)
+    model._set(found[0], table, epsilon, frame, found[1])
+    return model

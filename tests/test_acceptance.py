@@ -131,10 +131,11 @@ def test_criterion_7_frame_comparison(canonical_table):
         assert report.suites[LOC1_L_FIRST].statements["stmt1"].holds is True
         assert report.suites[LOC1_R_FIRST].statements["stmt1"].holds is False
         assert report.stmt1_frame_dependent is True
-        assert (
-            report.suites[LIGHT_CONE_KEY].truth_values()
-            == report.suites[LOC1_L_FIRST].truth_values()
-        )
+        light_cone = report.suites[LIGHT_CONE_KEY].statements
+        l_first = report.suites[LOC1_L_FIRST].statements
+        assert {name: r.holds for name, r in light_cone.items()} == {
+            name: r.holds for name, r in l_first.items()
+        }
 
 
 def test_criterion_8_policy_divergence(canonical_model):

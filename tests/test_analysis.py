@@ -60,6 +60,10 @@ LOC1 = LocalityCondition.LOC1
 LIGHT_CONE = LocalityCondition.LIGHT_CONE
 
 
+def truth_values(suite):
+    return {name: report.holds for name, report in suite.statements.items()}
+
+
 class TestCatalog:
     def test_statement_texts(self):
         shapes = catalog()
@@ -77,11 +81,11 @@ class TestCatalog:
         assert shapes.stmt2.antecedent == SettingAtom(Setting.L1)
 
     def test_conditioned_on(self):
+        # stmt1 and stmt2 are the right-region statement entailed by L2 and L1
         shapes = catalog()
-        assert shapes.conditioned_on(Setting.L2) == shapes.stmt1
-        assert shapes.conditioned_on(Setting.L1) == shapes.stmt2
-        with pytest.raises(ValueError):
-            shapes.conditioned_on(Setting.R1)
+        shared = shapes.right_region_statement
+        assert Entails(SettingAtom(Setting.L2), shared) == shapes.stmt1
+        assert Entails(SettingAtom(Setting.L1), shared) == shapes.stmt2
 
     def test_shared_consequent_mentions_only_the_right_region(self):
         assert "L" not in SR_TEXT.replace("[]->", "")
@@ -108,7 +112,7 @@ class TestCatalog:
 class TestTheoremSuite:
     def test_canonical_left_first(self, canonical_model):
         suite = theorem_suite(canonical_model)
-        assert suite.truth_values() == {
+        assert truth_values(suite) == {
             "stmt1": True, "stmt2": False, "stmt3": True,
         }
         assert suite.locality is LOC1
@@ -127,13 +131,13 @@ class TestTheoremSuite:
 
     def test_canonical_right_first(self, canonical_model_rfirst):
         suite = theorem_suite(canonical_model_rfirst)
-        assert suite.truth_values() == {
+        assert truth_values(suite) == {
             "stmt1": False, "stmt2": False, "stmt3": False,
         }
 
     def test_canonical_light_cone(self, canonical_model):
         suite = theorem_suite(canonical_model, LIGHT_CONE)
-        assert suite.truth_values() == {
+        assert truth_values(suite) == {
             "stmt1": True, "stmt2": False, "stmt3": True,
         }
 
@@ -143,7 +147,7 @@ class TestTheoremSuite:
             x = rng.uniform(0.01, 0.49)
             table = probability_table(*hardy_family(x))
             suite = theorem_suite(enumerate_worlds(table))
-            assert suite.truth_values() == {
+            assert truth_values(suite) == {
                 "stmt1": True, "stmt2": False, "stmt3": True,
             }, x
             witnesses = suite.statements["stmt2"].witnesses
@@ -153,7 +157,7 @@ class TestTheoremSuite:
 
     def test_uniform_table(self, uniform_model):
         suite = theorem_suite(uniform_model)
-        assert suite.truth_values() == {
+        assert truth_values(suite) == {
             "stmt1": False, "stmt2": False, "stmt3": True,
         }
 
@@ -196,13 +200,13 @@ class TestFrameComparison:
     def test_canonical_suites(self, canonical_table):
         report = frame_comparison(canonical_table)
         assert set(report.suites) == {LOC1_L_FIRST, LOC1_R_FIRST, LIGHT_CONE_KEY}
-        assert report.suites[LOC1_L_FIRST].truth_values() == {
+        assert truth_values(report.suites[LOC1_L_FIRST]) == {
             "stmt1": True, "stmt2": False, "stmt3": True,
         }
-        assert report.suites[LOC1_R_FIRST].truth_values() == {
+        assert truth_values(report.suites[LOC1_R_FIRST]) == {
             "stmt1": False, "stmt2": False, "stmt3": False,
         }
-        assert report.suites[LIGHT_CONE_KEY].truth_values() == {
+        assert truth_values(report.suites[LIGHT_CONE_KEY]) == {
             "stmt1": True, "stmt2": False, "stmt3": True,
         }
         assert report.stmt1_frame_dependent is True
@@ -216,10 +220,10 @@ class TestFrameComparison:
 
     def test_uniform_comparison(self, uniform_table):
         report = frame_comparison(uniform_table)
-        assert report.suites[LOC1_L_FIRST].truth_values() == {
+        assert truth_values(report.suites[LOC1_L_FIRST]) == {
             "stmt1": False, "stmt2": False, "stmt3": True,
         }
-        assert report.suites[LOC1_R_FIRST].truth_values() == {
+        assert truth_values(report.suites[LOC1_R_FIRST]) == {
             "stmt1": False, "stmt2": False, "stmt3": False,
         }
         assert report.stmt1_frame_dependent is False
@@ -799,12 +803,18 @@ class TestLhvFeasibility:
         assert len(report.surviving_strategies) == 16
 
 
+def cell_text(cell):
+    ls, rs, lo, ro = cell
+    return f"P({ls}{lo},{rs}{ro} | {ls},{rs})"
+
+
 def outcomes(strategy):
     return (strategy.on_l1, strategy.on_l2, strategy.on_r1, strategy.on_r2)
 
 
-def assert_matches_enumeration(table, epsilon):
-    report = lhv_feasibility(table, epsilon)
+def assert_matches_enumeration(table, epsilon, report=None):
+    if report is None:
+        report = lhv_feasibility(table, epsilon)
     feasible, excluded, survivors, trace = lhv_by_enumeration(table, epsilon)
     assert report.feasible is feasible
     assert [
@@ -833,6 +843,44 @@ class TestLhvAgainstEnumeration:
             zero_pattern, on_threshold, positives, epsilon, order
         )
         assert_matches_enumeration(table, epsilon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**RANDOM_SUPPORT_ARGS)
+    def test_memoized_reports_equal_enumerated_and_fresh_ones(
+        self, zero_pattern, on_threshold, positives, epsilon, order
+    ):
+        # the first table fills the memo under its support; the second, with
+        # the same support at other probabilities, reads it
+        analysis._memo.clear()
+        table = random_support_table(
+            zero_pattern, on_threshold, positives, epsilon, order
+        )
+        sources = (table, same_support(table, epsilon))
+        reports = [lhv_feasibility(source, epsilon) for source in sources]
+        assert len(analysis._memo) == 1
+        assert not any(
+            isinstance(obj, JointProbabilityTable)
+            for obj in memo_objects(next(iter(analysis._memo.items())))
+        )
+        for source, report in zip(sources, reports):
+            assert_matches_enumeration(source, epsilon, report)
+            analysis._memo.clear()
+            assert lhv_feasibility(source, epsilon) == report
+        if not reports[0].feasible:
+            # each trace quotes its own table's probability of the first
+            # uncovered cell, which only the first table's trace holds
+            quoted = [
+                f"(= {source.entries[cell]:.9f})"
+                for source in sources
+                for cell in CELLS
+                if f"demands {cell_text(cell)} > 0" in reports[0].contradiction_trace
+            ]
+            assert quoted[0] != quoted[1]
+            for text, report in zip(quoted, reports):
+                assert text in report.contradiction_trace
+            assert reports[1].contradiction_trace == (
+                reports[0].contradiction_trace.replace(quoted[0], quoted[1])
+            )
 
 
 def uniform_support_table(row_masks):

@@ -5,6 +5,7 @@ benchmark's tracer wraps."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import hardyworlds
+from hardyworlds.modelio import dump_model
+from hardyworlds.quantum import canonical_hardy_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +125,43 @@ def test_tracer_targets_resolve_after_the_cli_childs_imports():
     count, unresolved = out.split(" ", 1)
     assert int(count) > 0
     assert unresolved.strip() == "[]"
+
+
+def test_importtime_reports_the_lazily_loaded_layers(tmp_path):
+    # the CLI reaches analysis and modelio through the package's lazy
+    # loader, which must import them so that -X importtime sees them
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dump_model(*canonical_hardy_model())), encoding="utf-8")
+    for argv, module in (
+        (["suite"], "hardyworlds.analysis"),
+        (["model", "show", "--file", str(path)], "hardyworlds.modelio"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hardyworlds", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert module in imported, argv
+
+
+def test_tracer_targets_are_the_functions_their_spans_name():
+    # perfbench/tracing.py wraps each (module, attribute) by getattr and
+    # names its span after the function's home; read the table from the
+    # file, resolve every pair, and check that it is that function
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS"
+    )
+    assert targets
+    for module, attribute, span in targets:
+        home, name = span.split(".")
+        resolved = getattr(importlib.import_module(f"hardyworlds.{module}"), attribute)
+        assert resolved is getattr(getattr(hardyworlds, home), name), (module, attribute)
 
 
 def test_every_epsilon_parameter_defaults_to_the_one_constant():

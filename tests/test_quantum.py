@@ -380,6 +380,28 @@ class TestProbabilityTable:
         assert tuple(rebuilt.entries) == CELLS
         assert rebuilt == canonical_table
 
+    def test_entries_is_a_read_only_view_of_values(self, canonical_table):
+        entries, values = canonical_table.entries, canonical_table.values
+        assert len(values) == len(entries) == 16
+        assert all(entries[cell] is values[i] for i, cell in enumerate(CELLS))
+        assert list(entries.keys()) == list(CELLS)
+        missing = (Setting.L1, Setting.L2, Outcome.PLUS, Outcome.PLUS)
+        assert missing not in entries and CELLS[5] in entries
+        assert entries.get(missing) is None and entries.get(CELLS[5]) is values[5]
+        with pytest.raises(KeyError) as raised:
+            entries[missing]
+        assert raised.value.args == (missing,)
+        with pytest.raises(TypeError):
+            entries[CELLS[0]] = 0.5
+        with pytest.raises(TypeError):
+            hash(entries)
+        assert entries != dict(zip(CELLS, values[::-1]))
+
+    def test_a_view_is_checked_like_a_mapping(self, canonical_table):
+        values = (-0.5, *canonical_table.values[1:])
+        with pytest.raises(InvalidModelError, match="is negative: -0.5"):
+            JointProbabilityTable(quantum.TableEntries(values))
+
     def test_cells_are_in_lexicographic_order(self):
         # left setting, right setting, left outcome, right outcome; plus
         # before minus
@@ -505,7 +527,6 @@ class TestVerifyHardyConstraints:
         report = verify_hardy_constraints(canonical_table, 1e-9)
         assert report.satisfied
         assert report.failures == ()
-        assert report.first_failure is None
         assert report.h1_zero < 1e-12
         assert report.h2_zero < 1e-12
         assert report.h3_zero < 1e-12
@@ -526,7 +547,7 @@ class TestVerifyHardyConstraints:
         table = probability_table(product_state((1.0, 0.0), (1.0, 0.0)), config)
         report = verify_hardy_constraints(table)
         assert not report.satisfied
-        assert report.first_failure == "h1"
+        assert report.failures[0] == "h1"
         oracle_h1 = born_probability(
             (1.0, 0.0, 0.0, 0.0),
             COMPUTATIONAL_BASIS.minus,

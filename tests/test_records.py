@@ -269,7 +269,6 @@ def test_default_tuples_are_empty():
     assert truth.vacuous_flags == ()
     constraints = HardyConstraintReport(0.0, 0.0, 0.0, 0.5, 0.5, 1e-9, True)
     assert constraints.failures == ()
-    assert constraints.first_failure is None
     assert FeasibilityReport(True, (), "trace").surviving_strategies == ()
 
 

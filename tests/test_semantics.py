@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hardyworlds.errors import EntailmentNestingError, UnknownWorldError
-from hardyworlds.formulas import parse
+from hardyworlds.formulas import parse, pretty_print
 from hardyworlds.labels import FrameOrdering, Outcome, Region, Setting
 from hardyworlds.quantum import JointProbabilityTable, hardy_family, probability_table
 from hardyworlds.semantics import (
@@ -203,7 +203,10 @@ class TestVacuity:
         model = vacuous_prone_model()
         report = eval_model(model, parse("L2 & L2+ -> (R1 []-> R1-)"), LOC1)
         assert not report.holds
-        flagged = [flag.describe() for flag in report.vacuous_flags]
+        flagged = [
+            f"{pretty_print(flag.counterfactual)} at {flag.world}"
+            for flag in report.vacuous_flags
+        ]
         assert "(R1 []-> R1-) at (L2,R2,+,+)" in flagged
         assert [str(w) for w in report.witnesses] == ["(L2,R2,+,+)"]
 

@@ -4,7 +4,9 @@ import pytest
 
 from hardyworlds.errors import DomainError, InconsistentModelError
 from hardyworlds.labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Setting
-from hardyworlds.quantum import CELLS, JointProbabilityTable, probability_table
+from hardyworlds.quantum import (
+    CELLS, JointProbabilityTable, hardy_family, probability_table,
+)
 from hardyworlds.worlds import World, WorldModel, enumerate_worlds
 
 
@@ -223,6 +225,47 @@ class TestUncheckedWorlds:
                     assert list(vars(w).items()) == list(vars(checked).items())
                 supports += 1
         assert supports > 300
+
+    def test_enumerated_models_equal_checked_ones(self, canonical_table, uniform_table):
+        # the model takes its mask from the support enumerate_worlds computed;
+        # the checked constructor derives it from the worlds
+        supports = 0
+        for table in self.tables(canonical_table, uniform_table):
+            for epsilon in supports_of(table):
+                for frame in FrameOrdering:
+                    model = enumerate_worlds(table, epsilon, frame)
+                    worlds = [World(*CELLS[w.index], table.values[w.index]) for w in model]
+                    checked = WorldModel(worlds, table, epsilon, frame)
+                    assert type(model) is WorldModel
+                    assert model == checked
+                    assert model.mask == checked.mask
+                    assert [w._values() for w in model] == [w._values() for w in checked]
+                    assert list(vars(model)) == list(vars(checked))
+                    assert repr(model) == repr(checked)
+                supports += 1
+        assert supports == 708
+
+    def test_built_tables_equal_hand_built_ones(self, canonical_table, uniform_table):
+        rng = random.Random(18)
+        family = [probability_table(*hardy_family(x)) for x in (1e-5, 0.2, 0.45)]
+        for table in [*self.tables(canonical_table, uniform_table), *family]:
+            shuffled = list(table.entries.items())
+            rng.shuffle(shuffled)
+            for rebuilt in (
+                JointProbabilityTable(dict(shuffled)),
+                JointProbabilityTable(dict(zip(CELLS, table.values))),
+                JointProbabilityTable(table.entries),
+            ):
+                assert rebuilt.values == table.values
+                assert type(rebuilt.values) is tuple
+                assert all(type(p) is float for p in rebuilt.values)
+                assert list(rebuilt.entries.items()) == list(zip(CELLS, table.values))
+                assert list(rebuilt.entries.values()) == list(table.values)
+                assert [rebuilt.entries[cell] for cell in CELLS] == list(table.values)
+                assert rebuilt == table
+                assert rebuilt.entries == table.entries == dict(shuffled)
+                assert repr(rebuilt) == repr(table)
+                assert list(vars(rebuilt)) == list(vars(table))
 
     def test_enumerated_worlds_are_frozen(self, canonical_model):
         for w in canonical_model:
