@@ -4,13 +4,15 @@ Subcommands: model show, check, suite, flow, frames, lhv, hardy-scan.
 Exit codes: 0 success, 1 failed expectation or strict false check, 2 usage,
 formula parse or depth error, 3 invalid or inconsistent model, 4 closed stdout.
 Each subcommand builds one JSON payload and reads its text and checks from it.
+``plain_args`` reads a plain command line from the option tables; argparse,
+imported only for any other, parses it and prints its help or usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import DomainError, FormulaError, InconsistentModelError, InvalidModelError
@@ -30,8 +32,12 @@ from .worlds import EPSILON_DEFAULT, EPSILON_MAX, World, WorldModel, enumerate_w
 # hardy-scan or model show process never loads formulas, semantics or
 # analysis.  These imports serve the annotations only.
 if TYPE_CHECKING:
+    import argparse
+
     from . import analysis
     from .semantics import LocalityCondition, TruthReport
+
+    Namespace = argparse.Namespace | SimpleNamespace  # build_parser's or plain_args'
 
 FRAMES = {
     "l-first": FrameOrdering.LEFT_BEFORE_RIGHT,
@@ -56,84 +62,64 @@ def format_probability(value: float) -> str:
     return text
 
 
+def _type_error(message: str) -> Exception:
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _epsilon_value(text: str) -> float:
     try:
         return check_epsilon(float(text))
     except DomainError:  # a ValueError too, so caught first
-        raise argparse.ArgumentTypeError(
-            f"epsilon must lie strictly in (0, {EPSILON_MAX})"
-        ) from None
+        raise _type_error(f"epsilon must lie strictly in (0, {EPSILON_MAX})") from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise _type_error(f"not a number: {text!r}") from None
 
 
 def _steps_value(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise _type_error(f"not an integer: {text!r}") from None
     if value < 10:
-        raise argparse.ArgumentTypeError("scan needs at least 10 grid steps")
+        raise _type_error("scan needs at least 10 grid steps")
     if value > SCAN_STEPS_MAX:
-        raise argparse.ArgumentTypeError(f"scan takes at most {SCAN_STEPS_MAX} steps")
+        raise _type_error(f"scan takes at most {SCAN_STEPS_MAX} steps")
     return value
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument(
-        "--model",
-        default="canonical",
-        metavar="SOURCE",
-        help="canonical, family:<x>, or file:<path> (default: canonical)",
-    )
-    source.add_argument(
-        "--family", type=float, metavar="X", help="shorthand for --model family:<x>"
-    )
-    source.add_argument(
-        "--file", metavar="PATH", help="shorthand for --model file:<path>"
-    )
-    parser.add_argument(
-        "--epsilon",
-        type=_epsilon_value,
-        default=EPSILON_DEFAULT,
-        help=f"possibility threshold in (0, {EPSILON_MAX}) (default: {EPSILON_DEFAULT})",
-    )
-    parser.add_argument(
-        "--frame",
-        choices=sorted(FRAMES),
-        default="l-first",
-        help="time order of the regions (default: l-first)",
-    )
-    parser.add_argument(
-        "--locality",
-        choices=sorted(LOCALITIES),
-        default="loc1",
-        help="outcome protection policy (default: loc1)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        dest="output_format",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when a check result is false",
-    )
-    parser.add_argument(
-        "--expect",
-        metavar="PATH",
-        help="file of name=true|false assertions; exit 1 on any mismatch",
-    )
+# (flags, add_argument keywords) of the options every subcommand takes, in
+# help order; at most one source may be given.  --model's default is None, not
+# "canonical", as argparse sees no conflict in a value that is the default object.
+SOURCE_OPTIONS = (
+    (("--model",), {"metavar": "SOURCE", "help": (
+        "canonical, family:<x>, or file:<path> (default: canonical)")}),
+    (("--family",), {"type": float, "metavar": "X", "help": "shorthand for --model family:<x>"}),
+    (("--file",), {"metavar": "PATH", "help": "shorthand for --model file:<path>"}),
+)
+OPTIONS = (
+    (("--epsilon",), {"type": _epsilon_value, "default": EPSILON_DEFAULT, "help": (
+        f"possibility threshold in (0, {EPSILON_MAX}) (default: {EPSILON_DEFAULT})")}),
+    (("--frame",), {"choices": sorted(FRAMES), "default": "l-first",
+                    "help": "time order of the regions (default: l-first)"}),
+    (("--locality",), {"choices": sorted(LOCALITIES), "default": "loc1",
+                       "help": "outcome protection policy (default: loc1)"}),
+    (("--format",), {"choices": ("text", "json"), "default": "text", "dest": "output_format",
+                     "help": "output format (default: text)"}),
+    (("--strict",), {"action": "store_true", "default": False,
+                     "help": "exit 1 when a check result is false"}),
+    (("--expect",), {"metavar": "PATH",
+                     "help": "file of name=true|false assertions; exit 1 on any mismatch"}),
+)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subcommand is listed with its help text, but
     only ``command``'s subparser gets its options, so a run builds the
     options of the one command it runs."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hardyworlds",
         description=(
@@ -149,19 +135,64 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         if name == "model":
             actions = subparser.add_subparsers(dest="action", required=True)
             subparser = actions.add_parser("show", help="list the possible worlds")
-        _add_common_options(subparser)
-        for flags, options in arguments:
+        source = subparser.add_mutually_exclusive_group()
+        for flags, options in SOURCE_OPTIONS:
+            source.add_argument(*flags, **options)
+        for flags, options in OPTIONS + arguments:
             subparser.add_argument(*flags, **options)
     return parser
+
+
+def plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser`` parses from a plain command line, without argparse; None
+    for help, abbreviations, ``--opt=value``, ``--``, a repeated option, a value
+    that starts with ``-`` or is invalid, two sources, or a missing or extra positional."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    values: dict[str, Any] = {"command": command}
+    if command == "model":
+        if next(tokens, None) != "show":
+            return None
+        values["action"] = "show"
+    options = {}  # flag, or the positional's name: (dest, keywords)
+    positional = None
+    for (name,), kwargs in SOURCE_OPTIONS + OPTIONS + COMMANDS[command][2]:
+        dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        options[name] = dest, kwargs
+        values[dest] = kwargs.get("default")
+        if not name.startswith("-"):
+            positional = name
+    seen = set()
+    for token in tokens:
+        name = token if token.startswith("-") else positional
+        if name not in options or name in seen:
+            return None
+        seen.add(name)
+        dest, kwargs = options[name]
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        text = token if name == positional else next(tokens, "-")
+        if text.startswith("-") or text not in kwargs.get("choices", (text,)):
+            return None
+        try:
+            values[dest] = kwargs.get("type", str)(text)
+        except Exception:  # ValueError, or the converters' ArgumentTypeError
+            return None
+    sources = sum(flags[0] in seen for flags, _ in SOURCE_OPTIONS)
+    if sources > 1 or positional and positional not in seen:
+        return None
+    return SimpleNamespace(**values)
 
 
 class UsageError(Exception):
     pass
 
 
-def _table(args: argparse.Namespace) -> JointProbabilityTable:
+def _table(args: Namespace) -> JointProbabilityTable:
     """The probability table of the model named by --model, --family or --file."""
-    source = args.model
+    source = "canonical" if args.model is None else args.model
     if args.family is not None:
         source = f"family:{args.family!r}"
     elif args.file is not None:
@@ -189,7 +220,7 @@ def _table(args: argparse.Namespace) -> JointProbabilityTable:
     return probability_table(state, experiment)
 
 
-def _world_model(args: argparse.Namespace) -> WorldModel:
+def _world_model(args: Namespace) -> WorldModel:
     return enumerate_worlds(_table(args), args.epsilon, FRAMES[args.frame])
 
 
@@ -265,7 +296,7 @@ def _strategy_json(strategy: analysis.DeterministicStrategy) -> dict[str, str]:
 Result = tuple[Payload, list[str], dict[str, bool]]
 
 
-def _model_show(args: argparse.Namespace) -> Result:
+def _model_show(args: Namespace) -> Result:
     model = _world_model(args)
     payload = {
         "epsilon": model.epsilon,
@@ -275,13 +306,13 @@ def _model_show(args: argparse.Namespace) -> Result:
     return payload, [_world_line(w) for w in payload["worlds"]], {}
 
 
-def _locality(args: argparse.Namespace) -> LocalityCondition:
+def _locality(args: Namespace) -> LocalityCondition:
     from .semantics import LocalityCondition
 
     return LocalityCondition(args.locality)
 
 
-def _check(args: argparse.Namespace) -> Result:
+def _check(args: Namespace) -> Result:
     from .formulas import parse
     from .semantics import eval_model
 
@@ -298,7 +329,7 @@ def _check(args: argparse.Namespace) -> Result:
     return payload, lines, {"holds": payload["holds"]}
 
 
-def _suite(args: argparse.Namespace) -> Result:
+def _suite(args: Namespace) -> Result:
     from . import analysis
 
     suite = analysis.theorem_suite(_world_model(args), _locality(args))
@@ -312,7 +343,7 @@ def _suite(args: argparse.Namespace) -> Result:
     return payload, lines, checks
 
 
-def _flow(args: argparse.Namespace) -> Result:
+def _flow(args: Namespace) -> Result:
     from . import analysis
 
     flow = analysis.information_flow(_world_model(args), _locality(args))
@@ -338,7 +369,7 @@ def _flow(args: argparse.Namespace) -> Result:
     return payload, lines, checks
 
 
-def _frames(args: argparse.Namespace) -> Result:
+def _frames(args: Namespace) -> Result:
     from . import analysis
 
     comparison = analysis.frame_comparison(_table(args), args.epsilon)
@@ -378,7 +409,7 @@ def _frames(args: argparse.Namespace) -> Result:
     return payload, lines, checks
 
 
-def _lhv(args: argparse.Namespace) -> Result:
+def _lhv(args: Namespace) -> Result:
     from . import analysis
 
     report = analysis.lhv_feasibility(_table(args), args.epsilon)
@@ -401,7 +432,7 @@ def _lhv(args: argparse.Namespace) -> Result:
     return payload, lines, {"feasible": payload["feasible"]}
 
 
-def _hardy_scan(args: argparse.Namespace) -> Result:
+def _hardy_scan(args: Namespace) -> Result:
     x_best, p_best = hardy_scan(args.steps)
     payload = {"steps": args.steps, "x_best": x_best, "p_best": p_best}
     lines = [
@@ -476,10 +507,12 @@ def apply_expectations(
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         expectations = {} if args.expect is None else read_expectations(args.expect)
         payload, lines, checks = COMMANDS[args.command][1](args)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from cmath import isfinite
-from collections.abc import Iterator, Mapping
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from itertools import product
 from types import MappingProxyType
 from typing import Sequence
@@ -239,8 +239,25 @@ class TableEntries(Mapping):
     def __len__(self) -> int:
         return len(CELLS)
 
+    def items(self) -> ItemsView[TableKey, float]:
+        return _CellItems(self)
+
+    def values(self) -> ValuesView[float]:
+        return _CellValues(self)
+
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}({dict(self.items())!r})"
+
+
+# Mapping's views look each cell up again (64 Enum.__hash__ calls); these zip CELLS
+class _CellItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[TableKey, float]]:
+        return zip(CELLS, self._mapping._values)
+
+
+class _CellValues(ValuesView):
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._values)
 
 
 class JointProbabilityTable(Record):

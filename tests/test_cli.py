@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -7,8 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardyworlds.cli import format_probability, main
+from hardyworlds.cli import COMMANDS, build_parser, format_probability, main, plain_args
 from hardyworlds.modelio import dump_model, save_model
 from hardyworlds.quantum import (
     canonical_hardy_model,
@@ -412,6 +415,22 @@ class TestModelSources:
         assert out == ""
         assert "[re, im] pair" in err
 
+    def test_two_sources_conflict_in_process_as_in_a_fresh_one(self, capsys, monkeypatch):
+        # an in-process "canonical" is the interned literal a default would be
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["suite", "--model", "canonical", "--family", "0.2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardyworlds", *argv],
+            capture_output=True,
+            text=True,
+            env={**CHILD_ENV, "COLUMNS": "80"},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.endswith(
+            "error: argument --family: not allowed with argument --model\n"
+        )
+        assert run_cli(capsys, *argv) == (2, "", proc.stderr)
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "model", "show", "--epsilon", "0.5")
         assert code == 2
@@ -744,6 +763,120 @@ def test_expect_agrees_with_json(capsys, tmp_path, command, model):
                 )
 
 
+def argparse_args(argv):
+    """build_parser's namespace for argv, or None where it reports an error."""
+    try:
+        return build_parser(argv[0] if argv else None).parse_args(argv)
+    except SystemExit:
+        return None
+
+
+# values each option accepts; VALUES are other tokens, most of them invalid values
+VALID = {
+    "--model": ["canonical", "family:0.2", "file:m.json", ""],
+    "--family": ["0.2", "1e-3", " 0.3", "nan", "inf"],
+    "--file": ["m.json", ""],
+    "--epsilon": ["1e-3", "0.05", "1E-9"],
+    "--frame": ["l-first", "r-first"],
+    "--locality": ["loc1", "lightcone"],
+    "--format": ["text", "json"],
+    "--expect": ["e.txt", ""],
+    "--steps": ["10", "1000", " 20"],
+}
+FLAGS = [*VALID, "--strict"]
+VALUES = ["show", "L1 & L2", "L2 => (R1 []-> R1-)", "0.5", "0", "5", "1000001", "abc",
+          "up", "JSON", "-0.1", "-5", "-1e-3", "NaN", "", " ", "-", "--"]
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS + VALUES + ["-h", "--help", "--fam", "--form", "--st", "--e"]),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.floats().map(repr),
+    st.integers(-10, 2_000_000).map(str),
+    st.text(max_size=6),
+)
+EDITS = st.one_of(  # each inserted at an index into a well-formed command line
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+    st.sampled_from(["L1", "show", "suite", "--strict"]).map(lambda token: [token]),
+    TOKENS.map(lambda token: [token]),
+)
+
+
+def well_formed(command):
+    """Command lines of ``command`` built from valid options, which may still
+    give two or three sources or leave out check's formula."""
+    flags = [flag for flag in VALID if flag != "--steps" or command == "hardy-scan"]
+    pairs = st.lists(st.sampled_from(flags), unique=True, max_size=4).flatmap(
+        lambda chosen: st.tuples(*(st.sampled_from(VALID[flag]) for flag in chosen)).map(
+            lambda values: [token for pair in zip(chosen, values) for token in pair]
+        )
+    )
+    formula = st.sampled_from([["L1"], ["L2 => (R1 []-> R1-)"], [""], []])
+    return st.builds(
+        lambda head, strict, rest: [*command.split(), *head, *strict, *rest],
+        formula if command == "check" else st.just([]),
+        st.sampled_from([[], ["--strict"]]),
+        pairs,
+    )
+
+
+def with_edits(argv, edits):
+    for index, tokens in edits:
+        index %= len(argv) + 1
+        argv[index:index] = tokens
+    return argv
+
+
+ARGV = st.builds(
+    with_edits,
+    st.sampled_from(["model show", *list(COMMANDS)[1:]]).flatmap(well_formed),
+    st.lists(st.tuples(st.integers(0, 20), EDITS), max_size=2),
+)
+
+
+class TestPlainArgs:
+    """plain_args reads what argparse reads, or leaves the command line to it."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(ARGV)
+    def test_agrees_with_argparse(self, argv):
+        args = plain_args(argv)
+        if args is not None:
+            parsed = argparse_args(argv)
+            assert parsed is not None
+            assert repr(vars(args)) == repr(vars(parsed))
+
+    # the command lines of the cli-cold benchmark: subcommand, [formula],
+    # [source], --frame, --locality, --format, [--strict]
+    @pytest.mark.parametrize(
+        "command", ["model show", "check", "suite", "flow", "frames", "lhv", "hardy-scan"]
+    )
+    @pytest.mark.parametrize(
+        "source",
+        [[], ["--model", "canonical"], ["--family", "0.2718281828"], ["--file", "m.json"]],
+        ids=["none", "model", "family", "file"],
+    )
+    def test_takes_every_benchmark_shape(self, command, source):
+        formula = ["L2 & (R1 []-> ~R1-)"] if command == "check" else []
+        for frame, locality, output, strict in itertools.product(
+            ("l-first", "r-first"), ("loc1", "lightcone"), ("text", "json"), ([], ["--strict"])
+        ):
+            argv = [*command.split(), *formula, *source, "--frame", frame,
+                    "--locality", locality, "--format", output, *strict]
+            args = plain_args(argv)
+            assert args is not None, argv
+            assert repr(vars(args)) == repr(vars(argparse_args(argv)))
+
+    @pytest.mark.parametrize("argv", [
+        "", "-h", "suite -h", "suite --help", "model", "model --frame r-first show",
+        "suite --eps 1e-3", "suite --epsilon=1e-3", "suite --family -0.1",
+        "suite --epsilon 0.5", "suite --epsilon nan", "hardy-scan --steps 5",
+        "suite --frame up", "suite --strict --strict", "suite --frame r-first --frame r-first",
+        "suite --model canonical --family 0.2", "suite extra", "check", "check a b",
+        "suite --", "suite --format", "suite --steps 10", "check -- L1",
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert plain_args(argv.split()) is None
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -846,25 +979,33 @@ class TestEntryPoints:
         assert proc.stdout.strip() == "[]"
 
     # Run in a fresh interpreter: with argv None, only `import hardyworlds`;
-    # otherwise cli.main(argv), which must exit 0.  Prints the hardyworlds
-    # submodules then loaded, then whether the run itself imported json.
+    # otherwise cli.main(argv).  Prints the exit code, the hardyworlds
+    # submodules then loaded, and which of json and argparse with its
+    # gettext and locale the run itself loaded.
     IMPORT_CHILD = """
 import sys
-json_before = "json" in sys.modules
+before = set(sys.modules)
 import hardyworlds
+code = 0
 if {argv!r} is not None:
     import hardyworlds.cli
-    assert hardyworlds.cli.main({argv!r}) == 0
+    code = hardyworlds.cli.main({argv!r})
+print(code)
 print(" ".join(m.partition(".")[2] for m in sys.modules if m.startswith("hardyworlds.")))
-print(not json_before and "json" in sys.modules)
+print(" ".join(sorted({{"argparse", "gettext", "json", "locale"}} & set(sys.modules) - before)))
 """
     CLI_MODULES = {"cli", "errors", "labels", "quantum", "records", "worlds"}
+    ANALYSIS_MODULES = CLI_MODULES | {"analysis", "formulas", "semantics"}
+    ARGPARSE = {"argparse", "gettext", "locale"}
     IMPORT_SETS = {
         "import hardyworlds": (None, set()),
         "hardy-scan": (["hardy-scan", "--steps", "10"], CLI_MODULES),
         "model show": (["model", "show"], CLI_MODULES),
         "check": (["check", "L2 => (R1 []-> R1-)"], CLI_MODULES | {"formulas", "semantics"}),
-        "suite": (["suite"], CLI_MODULES | {"analysis", "formulas", "semantics"}),
+        "suite": (["suite"], ANALYSIS_MODULES),
+        "flow": (["flow", "--frame", "r-first"], ANALYSIS_MODULES),
+        "frames": (["frames", "--family", "0.2"], ANALYSIS_MODULES),
+        "lhv": (["lhv", "--locality", "lightcone"], ANALYSIS_MODULES),
     }
 
     def loaded_modules(self, argv):
@@ -875,17 +1016,35 @@ print(not json_before and "json" in sys.modules)
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
-        *_, modules, imported_json = proc.stdout.splitlines()
-        return set(modules.split()), imported_json == "True"
+        *_, code, modules, stdlib = proc.stdout.splitlines()
+        return int(code), set(modules.split()), set(stdlib.split())
 
     @pytest.mark.parametrize("argv, expected", IMPORT_SETS.values(), ids=IMPORT_SETS)
     def test_each_run_imports_only_the_layers_it_needs(self, argv, expected):
-        modules, imported_json = self.loaded_modules(argv)
-        assert modules == expected
-        assert not imported_json  # text output needs no json
+        # a plain command line loads no argparse, and text output no json
+        assert self.loaded_modules(argv) == (0, expected, set())
+
+    @pytest.mark.parametrize("command", ["model show", "hardy-scan", "suite"])
+    def test_json_output_loads_json(self, command):
+        code, _, stdlib = self.loaded_modules([*command.split(), "--format", "json"])
+        assert (code, stdlib) == (0, {"json"})
 
     def test_model_file_loads_modelio(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(*canonical_hardy_model(), path)
-        modules, _ = self.loaded_modules(["model", "show", "--file", str(path)])
-        assert modules == self.CLI_MODULES | {"modelio"}
+        loaded = self.loaded_modules(["model", "show", "--file", str(path)])
+        assert loaded == (0, self.CLI_MODULES | {"modelio"}, {"json"})
+
+    # argv: exit code
+    ARGPARSE_RUNS = {
+        "suite --help": 0,
+        "check -h": 0,
+        "suite --epsilon 0.5": 2,
+        "hardy-scan --steps 5": 2,
+        "suite --model canonical --file x": 2,
+    }
+
+    @pytest.mark.parametrize("argv", ARGPARSE_RUNS)
+    def test_help_and_usage_errors_load_argparse(self, argv):
+        loaded = self.loaded_modules(argv.split())
+        assert loaded == (self.ARGPARSE_RUNS[argv], self.CLI_MODULES, self.ARGPARSE)

@@ -397,6 +397,25 @@ class TestProbabilityTable:
             hash(entries)
         assert entries != dict(zip(CELLS, values[::-1]))
 
+    def test_entries_walk_the_values_without_looking_cells_up(
+        self, canonical_table, monkeypatch
+    ):
+        entries, values = canonical_table.entries, canonical_table.values
+        as_dict = dict(zip(CELLS, values))
+        assert repr(entries) == f"TableEntries({as_dict!r})"
+        monkeypatch.setattr(quantum, "CELL_INDEX", {})
+        assert list(entries.items()) == list(zip(CELLS, values))
+        assert list(entries.values()) == list(values)
+        assert len(entries.items()) == len(entries.values()) == 16
+        monkeypatch.undo()
+        # membership and equality still look the cell up
+        assert (CELLS[5], values[5]) in entries.items()
+        assert (CELLS[5], values[5] + 1) not in entries.items()
+        missing = (Setting.L1, Setting.L2, Outcome.PLUS, Outcome.PLUS)
+        assert (missing, 0.0) not in entries.items()
+        assert entries.items() == as_dict.items() and entries == as_dict
+        assert values[5] in entries.values()
+
     def test_a_view_is_checked_like_a_mapping(self, canonical_table):
         values = (-0.5, *canonical_table.values[1:])
         with pytest.raises(InvalidModelError, match="is negative: -0.5"):

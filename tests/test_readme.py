@@ -1,7 +1,8 @@
 """Every example in README.md runs as documented.
 
 JSON blocks are model files and must load; the Python block must print
-what its comments say; every ``hardyworlds ...`` command line must exit 0.
+what its comments say; every ``hardyworlds ...`` command line must exit 0
+and be read without argparse.
 """
 
 import contextlib
@@ -67,6 +68,14 @@ def test_python_block_prints_its_comments(body):
 def test_command_line_exits_zero(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_needs_no_argparse(line):
+    argv = shlex.split(line)[1:]
+    args = cli.plain_args(argv)
+    assert args is not None
+    assert repr(vars(args)) == repr(vars(cli.build_parser(argv[0]).parse_args(argv)))
 
 
 def readme_expect_names():
