@@ -173,6 +173,10 @@ READING_REFERENCE = (
     "dependence may only reflect that definitional tie to the far region, "
     "not a physical transfer."
 )
+READING_NONE = (
+    "No dependence: the right-region statement has the same truth value under "
+    "both left choices, so there is no dependence to read."
+)
 
 
 class FlowReport(Record):
@@ -182,6 +186,7 @@ class FlowReport(Record):
     ``f_of_L2`` and ``f_of_L1`` are the truth values of the suite's stmt1
     and stmt2, which are that statement entailed by L2 and by L1;
     ``reports`` holds the same two reports under those names.
+    ``interpretation`` holds both readings if ``dependent``, else one line.
     """
 
     f_of_L2: bool
@@ -189,7 +194,7 @@ class FlowReport(Record):
     dependent: bool
     witness: World | None
     reports: Mapping[str, TruthReport]
-    interpretation: tuple[str, str] = (READING_TRANSFER, READING_REFERENCE)
+    interpretation: tuple[str, ...]
 
 
 def information_flow(
@@ -215,6 +220,7 @@ def information_flow(
         dependent=dependent,
         witness=witness,
         reports={"f_of_L2": report_l2, "f_of_L1": report_l1},
+        interpretation=(READING_TRANSFER, READING_REFERENCE) if dependent else (READING_NONE,),
     )
 
 

@@ -1,11 +1,13 @@
-"""Command line interface.
+"""Command line interface: parse a command line and dispatch it.
 
 Subcommands: model show, check, suite, flow, frames, lhv, hardy-scan.
 Exit codes: 0 success, 1 failed expectation or strict false check, 2 usage,
 formula parse or depth error, 3 invalid or inconsistent model, 4 closed stdout.
-Each subcommand builds one JSON payload and reads its text and checks from it.
 ``plain_args`` reads a plain command line from the option tables; argparse,
 imported only for any other, parses it and prints its help or usage error.
+``main`` then imports the subcommand's module from ``hardyworlds.commands``,
+whose ``run`` builds one JSON payload and reads its text and checks from it,
+and the ``--expect`` code only with that option.
 """
 
 from __future__ import annotations
@@ -13,31 +15,27 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError, FormulaError, InconsistentModelError, InvalidModelError
 from .labels import FrameOrdering
 from .quantum import (
+    EPSILON_DEFAULT,
+    EPSILON_MAX,
     SCAN_STEPS_MAX,
     JointProbabilityTable,
     canonical_hardy_model,
     check_epsilon,
     hardy_family,
-    hardy_scan,
     probability_table,
 )
-from .worlds import EPSILON_DEFAULT, EPSILON_MAX, World, WorldModel, enumerate_worlds
 
-# Each command imports the other layers it runs when it runs, so a fresh
-# hardy-scan or model show process never loads formulas, semantics or
-# analysis.  These imports serve the annotations only.
 if TYPE_CHECKING:
     import argparse
 
-    from . import analysis
-    from .semantics import LocalityCondition, TruthReport
-
-    Namespace = argparse.Namespace | SimpleNamespace  # build_parser's or plain_args'
+    from .analysis import SuiteReport
+    from .semantics import TruthReport
+    from .worlds import World, WorldModel
 
 FRAMES = {
     "l-first": FrameOrdering.LEFT_BEFORE_RIGHT,
@@ -45,6 +43,9 @@ FRAMES = {
 }
 LOCALITIES = ("loc1", "lightcone")  # the values of semantics.LocalityCondition
 Payload = dict[str, Any]
+Namespace = Any  # build_parser's argparse.Namespace or plain_args' SimpleNamespace
+# A command's payload, then its text lines and its checks, both read from the payload
+Result = tuple[Payload, list[str], dict[str, bool]]
 
 
 def format_probability(value: float) -> str:
@@ -192,35 +193,36 @@ class UsageError(Exception):
 
 def _table(args: Namespace) -> JointProbabilityTable:
     """The probability table of the model named by --model, --family or --file."""
+    family, path = args.family, args.file
     source = "canonical" if args.model is None else args.model
-    if args.family is not None:
-        source = f"family:{args.family!r}"
-    elif args.file is not None:
-        source = f"file:{args.file}"
-    if source == "canonical":
-        state, experiment = canonical_hardy_model()
-    elif source.startswith("family:"):
+    if source.startswith("family:"):
         text = source[len("family:"):]
         try:
-            x = float(text)
+            family = float(text)
         except ValueError:
             raise UsageError(f"not a family parameter: {text!r}") from None
-        state, experiment = hardy_family(x)
     elif source.startswith("file:"):
         path = source[len("file:"):]
-        if not path:
-            raise UsageError("model file path is empty")
-        from . import modelio
-
-        state, experiment = modelio.load_model(path)
-    else:
+    elif source != "canonical":
         raise UsageError(
             f"unknown model source {source!r}; use canonical, family:<x>, or file:<path>"
         )
+    if family is not None:
+        state, experiment = hardy_family(family)
+    elif path is None:
+        state, experiment = canonical_hardy_model()
+    elif not path:
+        raise UsageError("model file path is empty")
+    else:
+        from . import modelio
+
+        state, experiment = modelio.load_model(path)
     return probability_table(state, experiment)
 
 
 def _world_model(args: Namespace) -> WorldModel:
+    from .worlds import enumerate_worlds
+
     return enumerate_worlds(_table(args), args.epsilon, FRAMES[args.frame])
 
 
@@ -277,7 +279,7 @@ def _evidence_lines(report: Payload, indent: str) -> list[str]:
     ]
 
 
-def _suite_json(suite: analysis.SuiteReport) -> Payload:
+def _suite_json(suite: SuiteReport) -> Payload:
     return {
         "locality": suite.locality.value,
         "frame": suite.frame.value,
@@ -287,173 +289,18 @@ def _suite_json(suite: analysis.SuiteReport) -> Payload:
     }
 
 
-def _strategy_json(strategy: analysis.DeterministicStrategy) -> dict[str, str]:
-    return {"L1": strategy.on_l1.value, "L2": strategy.on_l2.value,
-            "R1": strategy.on_r1.value, "R2": strategy.on_r2.value}
-
-
-# A command's payload, then its text lines and its checks, both read from the payload
-Result = tuple[Payload, list[str], dict[str, bool]]
-
-
-def _model_show(args: Namespace) -> Result:
-    model = _world_model(args)
-    payload = {
-        "epsilon": model.epsilon,
-        "frame": model.frame.value,
-        "worlds": [_world_json(w) for w in model.worlds],
-    }
-    return payload, [_world_line(w) for w in payload["worlds"]], {}
-
-
-def _locality(args: Namespace) -> LocalityCondition:
-    from .semantics import LocalityCondition
-
-    return LocalityCondition(args.locality)
-
-
-def _check(args: Namespace) -> Result:
-    from .formulas import parse
-    from .semantics import eval_model
-
-    formula = parse(args.formula)
-    report = eval_model(_world_model(args), formula, _locality(args))
-    payload = _report_json(report)
-    lines = [
-        f"formula: {payload['formula']}",
-        f"locality: {payload['locality']}",
-        f"frame: {payload['frame']}",
-        f"holds: {_truth(payload['holds'])}",
-        *_evidence_lines(payload, ""),
-    ]
-    return payload, lines, {"holds": payload["holds"]}
-
-
-def _suite(args: Namespace) -> Result:
-    from . import analysis
-
-    suite = analysis.theorem_suite(_world_model(args), _locality(args))
-    payload = _suite_json(suite)
-    lines: list[str] = []
-    for name, report in payload["statements"].items():
-        lines.append(f"{name}: holds={_truth(report['holds'])}  {report['formula']}")
-        lines.extend(_evidence_lines(report, "  "))
-    lines += [f"locality: {payload['locality']}", f"frame: {payload['frame']}"]
-    checks = {name: report["holds"] for name, report in payload["statements"].items()}
-    return payload, lines, checks
-
-
-def _flow(args: Namespace) -> Result:
-    from . import analysis
-
-    flow = analysis.information_flow(_world_model(args), _locality(args))
-    payload = {
-        "f_of_L2": flow.f_of_L2,
-        "f_of_L1": flow.f_of_L1,
-        "dependent": flow.dependent,
-        "witness": _world_json(flow.witness) if flow.witness else None,
-        "reports": {
-            name: _report_json(report) for name, report in flow.reports.items()
-        },
-        "interpretation": list(flow.interpretation),
-    }
-    lines = [
-        f"f(L2): {_truth(payload['f_of_L2'])}",
-        f"f(L1): {_truth(payload['f_of_L1'])}",
-        f"dependent: {_truth(payload['dependent'])}",
-    ]
-    if payload["witness"] is not None:
-        lines.append(f"witness: {_world_line(payload['witness'])}")
-    lines.extend(f"note: {note}" for note in payload["interpretation"])
-    checks = {key: payload[key] for key in ("f_of_L2", "f_of_L1", "dependent")}
-    return payload, lines, checks
-
-
-def _frames(args: Namespace) -> Result:
-    from . import analysis
-
-    comparison = analysis.frame_comparison(_table(args), args.epsilon)
-    div = comparison.divergence
-    payload = {
-        "suites": {
-            key: _suite_json(suite) for key, suite in comparison.suites.items()
-        },
-        "divergence": None if div is None else {
-            "formula": div.text,
-            "world": _world_json(div.world),
-            "results": dict(div.results),
-        },
-        "stmt1_frame_dependent": comparison.stmt1_frame_dependent,
-        "protection": {
-            name: {"rests_on": [r.value for r in regions], "flips": comparison.flips[name]}
-            for name, regions in comparison.rests_on.items()
-        },
-    }
-    lines: list[str] = []
-    checks: dict[str, bool] = {}
-    for key, suite in payload["suites"].items():
-        lines.append(f"[{key}]")
-        for name, report in suite["statements"].items():
-            lines.append(f"{name}: holds={_truth(report['holds'])}")
-            checks[f"{key}.{name}"] = report["holds"]
-    divergence = payload["divergence"]
-    if divergence is not None:
-        world = _label(divergence["world"])
-        lines.append(f"divergence: {divergence['formula']} at world {world}")
-        for key, value in divergence["results"].items():
-            lines.append(f"  {key}: {_truth(value)}")
-            checks[f"divergence.{key}"] = value
-    frame_dependent = payload["stmt1_frame_dependent"]
-    lines.append(f"stmt1 frame-dependent under loc1: {_truth(frame_dependent)}")
-    checks["stmt1_frame_dependent"] = frame_dependent
-    return payload, lines, checks
-
-
-def _lhv(args: Namespace) -> Result:
-    from . import analysis
-
-    report = analysis.lhv_feasibility(_table(args), args.epsilon)
-    payload = {
-        "feasible": report.feasible,
-        "excluded_strategies": [
-            {"strategy": _strategy_json(strategy), "excluded_by": label}
-            for strategy, label in report.excluded_strategies
-        ],
-        "surviving_strategies": [
-            _strategy_json(strategy) for strategy in report.surviving_strategies
-        ],
-        "contradiction_trace": report.contradiction_trace,
-    }
-    lines = [
-        f"feasible: {_truth(payload['feasible'])}",
-        f"excluded strategies: {len(payload['excluded_strategies'])} of 16",
-        payload["contradiction_trace"],
-    ]
-    return payload, lines, {"feasible": payload["feasible"]}
-
-
-def _hardy_scan(args: Namespace) -> Result:
-    x_best, p_best = hardy_scan(args.steps)
-    payload = {"steps": args.steps, "x_best": x_best, "p_best": p_best}
-    lines = [
-        f"steps: {payload['steps']}",
-        f"x_best: {payload['x_best']:.9f}",
-        f"p_best: {format_probability(payload['p_best'])}",
-    ]
-    return payload, lines, {}
-
-
-# name: (help text, run function, the arguments it adds to the common options)
+# name: (help text, its module in hardyworlds.commands, the arguments it adds to
+# the common options)
 COMMANDS = {
-    "model": ("inspect the chosen model", _model_show, ()),
-    "check": ("evaluate one formula", _check, (
+    "model": ("inspect the chosen model", "model", ()),
+    "check": ("evaluate one formula", "check", (
         (("formula",), {"help": "formula text, e.g. 'L2 => (R1 []-> R1-)'"}),
     )),
-    "suite": ("run the statement suite", _suite, ()),
-    "flow": ("left-choice dependence of the right-region statement", _flow, ()),
-    "frames": ("compare frames and locality policies", _frames, ()),
-    "lhv": ("local deterministic strategy feasibility", _lhv, ()),
-    "hardy-scan": ("maximize h4 over the family", _hardy_scan, (
+    "suite": ("run the statement suite", "suite", ()),
+    "flow": ("left-choice dependence of the right-region statement", "flow", ()),
+    "frames": ("compare frames and locality policies", "frames", ()),
+    "lhv": ("local deterministic strategy feasibility", "lhv", ()),
+    "hardy-scan": ("maximize h4 over the family", "hardy_scan", (
         (("--steps",), {
             "type": _steps_value,
             "default": 1000,
@@ -463,45 +310,9 @@ COMMANDS = {
 }
 
 
-def read_expectations(path: str) -> dict[str, bool]:
-    from pathlib import Path
-
-    if not path:
-        # Path('') is the working directory
-        raise UsageError("expectation file path is empty")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read expectation file {path}: {exc}") from exc
-    expectations: dict[str, bool] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, value = (part.strip() for part in line.partition("="))
-        if not sep or value not in ("true", "false"):
-            raise UsageError(
-                f"{path}:{number}: expected 'name=true' or 'name=false', got {raw!r}"
-            )
-        if name in expectations:
-            raise UsageError(f"{path}:{number}: check {name!r} is already expected")
-        expectations[name] = value == "true"
-    return expectations
-
-
-def apply_expectations(
-    expectations: Mapping[str, bool], checks: Mapping[str, bool]
-) -> int:
-    failures = 0
-    for name, expected in expectations.items():
-        if name not in checks:
-            print(f"expect: {name}: no such check", file=sys.stderr)
-            failures += 1
-        elif checks[name] is not expected:
-            wanted, actual = _truth(expected), _truth(checks[name])
-            print(f"expect: {name}: wanted {wanted}, got {actual}", file=sys.stderr)
-            failures += 1
-    return 1 if failures else 0
+def _commands_module(name: str) -> Any:
+    """``hardyworlds.commands.<name>``, by ``__import__``: ``-X importtime`` lists it."""
+    return __import__(f"{__package__}.commands.{name}", fromlist=["run"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -513,9 +324,10 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser(argv[0] if argv else None).parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+    expect = None if args.expect is None else _commands_module("expectations")
     try:
-        expectations = {} if args.expect is None else read_expectations(args.expect)
-        payload, lines, checks = COMMANDS[args.command][1](args)
+        expectations = {} if expect is None else expect.read_expectations(args.expect)
+        payload, lines, checks = _commands_module(COMMANDS[args.command][1]).run(args)
     except (FormulaError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -537,19 +349,17 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 4
-    exit_code = apply_expectations(expectations, checks)
+    exit_code = 0 if expect is None else expect.apply_expectations(expectations, checks)
     if args.strict and checks.get("holds") is False:
         exit_code = 1
     return exit_code
 
 
 def __getattr__(name: str) -> Any:
-    """``parse`` and ``eval_model`` as attributes of this module, imported on
-    first access: perfbench/tracing.py wraps them here."""
-    if name == "parse":
-        from .formulas import parse as value
-    elif name == "eval_model":
-        from .semantics import eval_model as value
-    else:
+    """The package functions that perfbench/tracing.py wraps as attributes of
+    this module, imported on first access; the commands call their own."""
+    module = {"parse": "formulas", "eval_model": "semantics", "hardy_scan": "quantum",
+              "enumerate_worlds": "worlds"}.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return value
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)

@@ -16,6 +16,9 @@ from hardyworlds.analysis import (
     LIGHT_CONE_KEY,
     LOC1_L_FIRST,
     LOC1_R_FIRST,
+    READING_NONE,
+    READING_REFERENCE,
+    READING_TRANSFER,
     SR_TEXT,
     STMT1_TEXT,
     STMT2_TEXT,
@@ -177,12 +180,23 @@ class TestInformationFlow:
             flow = information_flow(model)
             assert flow.dependent == (flow.f_of_L2 != flow.f_of_L1)
 
+    def test_readings_only_for_a_dependence(self, canonical_model):
+        # the right-first frame and a family member below the threshold
+        # give the same truth value under both left choices
+        tiny = enumerate_worlds(probability_table(*hardy_family(1e-5)))
+        r_first = enumerate_worlds(canonical_model.table, frame=FrameOrdering.RIGHT_BEFORE_LEFT)
+        for model in (r_first, tiny):
+            flow = information_flow(model)
+            assert not flow.dependent
+            assert flow.interpretation == (READING_NONE,)
+
     def test_uniform_has_no_dependence(self, uniform_model):
         flow = information_flow(uniform_model)
         assert flow.f_of_L2 is False
         assert flow.f_of_L1 is False
         assert not flow.dependent
         assert flow.witness is None
+        assert flow.interpretation == (READING_NONE,)
 
     def test_reports_match_summary_fields(self, canonical_model):
         flow = information_flow(canonical_model)
@@ -191,9 +205,7 @@ class TestInformationFlow:
 
     def test_both_readings_are_offered(self, canonical_model):
         flow = information_flow(canonical_model)
-        assert len(flow.interpretation) == 2
-        first, second = flow.interpretation
-        assert first != second
+        assert flow.interpretation == (READING_TRANSFER, READING_REFERENCE)
 
 
 class TestFrameComparison:

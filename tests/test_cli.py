@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyworlds.analysis import READING_NONE, READING_REFERENCE, READING_TRANSFER
 from hardyworlds.cli import COMMANDS, build_parser, format_probability, main, plain_args
 from hardyworlds.modelio import dump_model, save_model
 from hardyworlds.quantum import (
@@ -257,13 +258,14 @@ class TestSuite:
 
 class TestFlow:
     def test_canonical_text(self, capsys):
-        code, out, _ = run_cli(capsys, "flow")
-        assert code == 0
-        assert "f(L2): true" in out
-        assert "f(L1): false" in out
-        assert "dependent: true" in out
-        assert "witness: L1 R2 + + p=0.083333333 (=1/12)" in out
-        assert out.count("note:") == 2
+        assert run_cli(capsys, "flow") == (0, (
+            "f(L2): true\n"
+            "f(L1): false\n"
+            "dependent: true\n"
+            "witness: L1 R2 + + p=0.083333333 (=1/12)\n"
+            f"note: {READING_TRANSFER}\n"
+            f"note: {READING_REFERENCE}\n"
+        ), "")
 
     def test_uniform_file_not_needed_family_is_independent(self, capsys):
         code, out, _ = run_cli(capsys, "flow", "--family", "0.25")
@@ -278,6 +280,15 @@ class TestFlow:
         assert payload["dependent"] is True
         assert payload["witness"]["left_setting"] == "L1"
         assert len(payload["interpretation"]) == 2
+
+    @pytest.mark.parametrize("source", [("--frame", "r-first"), ("--family", "1e-5")], ids=str)
+    def test_no_dependence_has_no_readings(self, capsys, source):
+        code, out, _ = run_cli(capsys, "flow", *source)
+        assert code == 0
+        assert out.splitlines()[2:] == ["dependent: false", f"note: {READING_NONE}"]
+        code, out, _ = run_cli(capsys, "flow", *source, "--format", "json")
+        payload = json.loads(out)
+        assert (payload["dependent"], payload["interpretation"]) == (False, [READING_NONE])
 
 
 class TestFrames:
@@ -398,6 +409,28 @@ class TestModelSources:
     def test_empty_file_path(self, capsys, source):
         code, out, err = run_cli(capsys, "model", "show", *source)
         assert (code, out, err) == (2, "", "error: model file path is empty\n")
+
+    # source option: exit code and error message (test_empty_file_path pins
+    # --file '' and --model file:)
+    SOURCE_ERRORS = {
+        ("--model", "family:abc"): (2, "not a family parameter: 'abc'"),
+        ("--model", "nope"): (
+            2, "unknown model source 'nope'; use canonical, family:<x>, or file:<path>"
+        ),
+        ("--family", "nan"): (3, "family parameter must lie strictly in (0, 1/2), got nan"),
+        ("--family", "0.7"): (3, "family parameter must lie strictly in (0, 1/2), got 0.7"),
+    }
+
+    @pytest.mark.parametrize("source", SOURCE_ERRORS, ids=" ".join)
+    def test_source_errors_keep_their_text_and_exit_code(self, capsys, source):
+        code, message = self.SOURCE_ERRORS[source]
+        assert run_cli(capsys, "suite", *source) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("x", ["0.2", "1e-5", "nan"])
+    def test_family_shorthand_runs_as_the_model_source(self, capsys, x):
+        assert run_cli(capsys, "flow", "--family", x) == run_cli(
+            capsys, "flow", "--model", f"family:{x}"
+        )
 
     def test_corrupt_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -994,18 +1027,36 @@ print(code)
 print(" ".join(m.partition(".")[2] for m in sys.modules if m.startswith("hardyworlds.")))
 print(" ".join(sorted({{"argparse", "gettext", "json", "locale"}} & set(sys.modules) - before)))
 """
-    CLI_MODULES = {"cli", "errors", "labels", "quantum", "records", "worlds"}
-    ANALYSIS_MODULES = CLI_MODULES | {"analysis", "formulas", "semantics"}
+    CLI_MODULES = {"cli", "errors", "labels", "quantum", "records"}
+    WORLD_MODULES = CLI_MODULES | {"worlds"}
+    ANALYSIS_MODULES = WORLD_MODULES | {"analysis", "formulas", "semantics"}
     ARGPARSE = {"argparse", "gettext", "locale"}
+
+    @staticmethod
+    def command(name):
+        """``hardyworlds.commands`` and its module ``name``, as a run loads them."""
+        return {"commands", f"commands.{name}"}
+
     IMPORT_SETS = {
         "import hardyworlds": (None, set()),
-        "hardy-scan": (["hardy-scan", "--steps", "10"], CLI_MODULES),
-        "model show": (["model", "show"], CLI_MODULES),
-        "check": (["check", "L2 => (R1 []-> R1-)"], CLI_MODULES | {"formulas", "semantics"}),
-        "suite": (["suite"], ANALYSIS_MODULES),
-        "flow": (["flow", "--frame", "r-first"], ANALYSIS_MODULES),
-        "frames": (["frames", "--family", "0.2"], ANALYSIS_MODULES),
-        "lhv": (["lhv", "--locality", "lightcone"], ANALYSIS_MODULES),
+        "hardy-scan": (["hardy-scan", "--steps", "10"], CLI_MODULES | command("hardy_scan")),
+        "model show": (["model", "show"], WORLD_MODULES | command("model")),
+        "check": (
+            ["check", "L2 => (R1 []-> R1-)"],
+            WORLD_MODULES | {"formulas", "semantics"} | command("check"),
+        ),
+        "suite": (["suite"], ANALYSIS_MODULES | command("suite")),
+        "flow": (["flow", "--frame", "r-first"], ANALYSIS_MODULES | command("flow")),
+        "frames": (["frames", "--family", "0.2"], ANALYSIS_MODULES | command("frames")),
+        "lhv": (["lhv", "--locality", "lightcone"], ANALYSIS_MODULES | command("lhv")),
+        "suite --expect": (
+            ["suite", "--expect", os.devnull],
+            ANALYSIS_MODULES | command("suite") | {"commands.expectations"},
+        ),
+        "hardy-scan --expect": (
+            ["hardy-scan", "--expect", os.devnull],
+            CLI_MODULES | command("hardy_scan") | {"commands.expectations"},
+        ),
     }
 
     def loaded_modules(self, argv):
@@ -1033,7 +1084,8 @@ print(" ".join(sorted({{"argparse", "gettext", "json", "locale"}} & set(sys.modu
         path = tmp_path / "model.json"
         save_model(*canonical_hardy_model(), path)
         loaded = self.loaded_modules(["model", "show", "--file", str(path)])
-        assert loaded == (0, self.CLI_MODULES | {"modelio"}, {"json"})
+        expected = self.WORLD_MODULES | self.command("model") | {"modelio"}
+        assert loaded == (0, expected, {"json"})
 
     # argv: exit code
     ARGPARSE_RUNS = {

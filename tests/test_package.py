@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -128,13 +129,14 @@ def test_tracer_targets_resolve_after_the_cli_childs_imports():
 
 
 def test_importtime_reports_the_lazily_loaded_layers(tmp_path):
-    # the CLI reaches analysis and modelio through the package's lazy
-    # loader, which must import them so that -X importtime sees them
+    # the CLI loads a command's module, the layers it calls and modelio on
+    # demand, each by an import that -X importtime sees (the benchmark's
+    # import.hardyworlds_ms reads that report)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(dump_model(*canonical_hardy_model())), encoding="utf-8")
-    for argv, module in (
-        (["suite"], "hardyworlds.analysis"),
-        (["model", "show", "--file", str(path)], "hardyworlds.modelio"),
+    for argv, modules in (
+        (["suite"], {"hardyworlds.analysis", "hardyworlds.commands.suite"}),
+        (["model", "show", "--file", str(path)], {"hardyworlds.modelio"}),
     ):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "hardyworlds", *argv],
@@ -144,7 +146,7 @@ def test_importtime_reports_the_lazily_loaded_layers(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-        assert module in imported, argv
+        assert modules <= set(imported), argv
 
 
 def test_tracer_targets_are_the_functions_their_spans_name():
@@ -162,6 +164,57 @@ def test_tracer_targets_are_the_functions_their_spans_name():
         home, name = span.split(".")
         resolved = getattr(importlib.import_module(f"hardyworlds.{module}"), attribute)
         assert resolved is getattr(getattr(hardyworlds, home), name), (module, attribute)
+
+
+# The calls: counts of a traced CLI run per command line, but for
+# semantics.accessible_worlds: how many nested calls a counterfactual makes
+# follows the hash seed's iteration order.
+TABLE_CALLS = {"quantum.hardy_family": 1, "quantum.probability_table": 1}
+MODEL_CALLS = {**TABLE_CALLS, "worlds.enumerate_worlds": 1}
+CATALOG_CALLS = {**MODEL_CALLS, "analysis.catalog": 1, "formulas.parse": 4}
+TRACED_CALLS = {
+    "model show": MODEL_CALLS,
+    "model show --file {model}": {
+        "modelio.parse_model": 1, "quantum.probability_table": 1, "worlds.enumerate_worlds": 1,
+    },
+    "check 'L2=>(R1[]->R1-)'": {**MODEL_CALLS, "formulas.parse": 1, "semantics.eval_model": 1},
+    "suite": {**CATALOG_CALLS, "analysis.theorem_suite": 1, "semantics.eval_model": 3},
+    "flow --frame r-first": {
+        **CATALOG_CALLS, "analysis.information_flow": 1, "semantics.eval_model": 2,
+    },
+    "frames": {
+        **CATALOG_CALLS, "worlds.enumerate_worlds": 2, "formulas.parse": 5,
+        "analysis.frame_comparison": 1, "analysis.theorem_suite": 3, "semantics.eval_model": 6,
+    },
+    "lhv --family 0.2": {**TABLE_CALLS, "analysis.lhv_feasibility": 1},
+    "hardy-scan": {"quantum.hardy_scan": 1},
+}
+
+
+@pytest.mark.parametrize("line", TRACED_CALLS)
+def test_a_traced_cli_child_records_one_span_per_call(tmp_path, line):
+    # perfbench/cli_child.py wraps the package's functions before it runs
+    # cli.main, so each command binds the wrappers when it is imported; a
+    # command that bound a function earlier would record no span, and one
+    # that also went through a wrapped cli attribute would record two.
+    # No bytecode is written next to the child.
+    model, spans = tmp_path / "model.json", tmp_path / "spans.json"
+    model.write_text(json.dumps(dump_model(*canonical_hardy_model())), encoding="utf-8")
+    argv = shlex.split(line.format(model=model))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "cli_child.py"), str(spans), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(spans.read_text(encoding="utf-8"))["summary"]
+    calls = {
+        key.partition(":")[2]: count
+        for key, count in summary.items()
+        if key.startswith("calls:") and key != "calls:semantics.accessible_worlds"
+    }
+    assert calls == TRACED_CALLS[line]
 
 
 def test_every_epsilon_parameter_defaults_to_the_one_constant():

@@ -6,6 +6,7 @@ and be read without argparse.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -127,5 +128,6 @@ def test_expect_names_match_each_subcommands_checks():
     )
     for command, argv in CANONICAL_RUNS.items():
         args = cli.build_parser(command).parse_args(argv)
-        _, _, checks = cli.COMMANDS[command][1](args)
+        module = importlib.import_module(f"hardyworlds.commands.{cli.COMMANDS[command][1]}")
+        _, _, checks = module.run(args)
         assert set(checks) == documented.get(command, set()), command

@@ -9,8 +9,6 @@ from pathlib import Path
 import pytest
 
 from hardyworlds.analysis import (
-    READING_REFERENCE,
-    READING_TRANSFER,
     ComparisonReport,
     DeterministicStrategy,
     DivergenceExample,
@@ -153,7 +151,6 @@ SAMPLES = {
 RECORDS = list(SAMPLES)
 
 DEFAULTS = {
-    FlowReport: {"interpretation": (READING_TRANSFER, READING_REFERENCE)},
     FeasibilityReport: {"surviving_strategies": ()},
     HardyConstraintReport: {"failures": ()},
     TruthReport: {"vacuous_flags": ()},
