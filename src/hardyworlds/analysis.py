@@ -16,11 +16,12 @@ Each statement changes only the right choice, so its verdict consults the
 frame and locality through fixed[R] alone (see ``semantics``), and the model
 through its possible worlds alone: not their probabilities, its table or
 epsilon.  One process-wide memo keeps each verdict once per world mask
-(``WorldModel.mask``), statement and value of that bit.  Equal masks hold
-each world at the same position, so the memo keeps positions, never a world,
-model or table, and every model with those worlds, enumerated or built by
-hand, reads the verdict there as a report on its own worlds, under its own
-labels.  It holds at most ``_MEMO_LIMIT`` entries and is emptied when full.
+(``WorldModel.mask``), statement and value of that bit, as the report has
+it: ``holds``, the witnesses and the vacuous flags.  A world is its cell and
+carries no probability, so those worlds are right for every model with that
+mask, enumerated or built by hand, which reads the verdict there under its
+own labels; the memo keeps no model or table.  It holds at most
+``_MEMO_LIMIT`` entries and is emptied when full.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from functools import cache
 from itertools import product
 from typing import Mapping
 
-from .formulas import Formula, parse, pretty_print
+from .formulas import Counterfactual, Formula, OutcomeAtom, parse, pretty_print
 from .labels import OUTCOMES, FrameOrdering, Outcome, Region, Setting
 from .quantum import CELL_INDEX, CELLS, HARDY_CELLS, JointProbabilityTable
 from .quantum import check_epsilon, support
 from .records import Record
 from .semantics import (
-    LocalityCondition, TruthReport, VacuousFlag, changed_regions, eval_model,
-    eval_world, fixed,
+    LocalityCondition, TruthReport, changed_regions, eval_model, eval_world, fixed,
 )
 from .worlds import EPSILON_DEFAULT, World, WorldModel, enumerate_worlds
 
@@ -44,14 +44,15 @@ SR_TEXT = "(R2 & R2+) -> (R1 []-> R1-)"
 STMT1_TEXT = "L2 => ((R2 & R2+) -> (R1 []-> R1-))"
 STMT2_TEXT = "L1 => ((R2 & R2+) -> (R1 []-> R1-))"
 STMT3_TEXT = "(L2 & R2 & L2+) => (R1 []-> L2+)"
-DIVERGENCE_TEXT = "L1 []-> R1-"
+DIVERGENCE_TEXT = "L1 []-> R1-"  # the catalogued divergence example, at _PIVOT
+_PIVOT = CELL_INDEX[(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)]
 
 LOC1_L_FIRST = "loc1-l-first"
 LOC1_R_FIRST = "loc1-r-first"
 LIGHT_CONE_KEY = "lightcone"
 
 # a mask takes at most eight entries (three statements times the two values
-# of fixed[R], the divergence results and the LHV verdict), so 128 supports
+# of fixed[R], the divergence example and the LHV verdict), so 128 supports
 # fit; a sweep meets few, and a full memo costs only re-evaluation
 _MEMO_LIMIT = 1024
 _memo: dict[tuple, tuple] = {}
@@ -94,11 +95,6 @@ def _statements_with_bits(frame: FrameOrdering, locality: LocalityCondition) -> 
             for name, (f, regions) in _statements_with_regions().items()}
 
 
-@cache
-def _divergence_formula() -> Formula:
-    return parse(DIVERGENCE_TEXT)
-
-
 class SuiteReport(Record):
     """Truth reports for the catalogued statements, keyed stmt1..stmt3."""
 
@@ -119,16 +115,10 @@ def _memoized(key: tuple, compute, *args) -> tuple:
 
 
 def _evidence(model: WorldModel, formula: Formula, locality: LocalityCondition) -> tuple:
-    """A fresh verdict as the memo keeps it: ``holds``, the witnesses'
-    positions in ``model.worlds`` and each vacuous flag's (position,
-    counterfactual)."""
+    """A fresh verdict as the memo keeps it: ``holds``, the witnesses and
+    the vacuous flags."""
     report = eval_model(model, formula, locality)
-    position = model.worlds.index
-    return (
-        report.holds,
-        tuple(map(position, report.witnesses)),
-        tuple((position(f.world), f.counterfactual) for f in report.vacuous_flags),
-    )
+    return report.holds, report.witnesses, report.vacuous_flags
 
 
 def _catalogued_reports(
@@ -137,17 +127,14 @@ def _catalogued_reports(
     """The named catalogued statements' reports on ``model``, labelled with
     ``locality`` and its frame, read from the memo under the model's world
     mask, the statement and the ``fixed`` bits it consults."""
-    worlds, frame = model.worlds, model.frame
+    frame = model.frame
     consulted = _statements_with_bits(frame, locality)
     reports = []
     for name in names:
         formula, bits = consulted[name]
         key = (model.mask, name, bits)
         holds, witnesses, flags = _memoized(key, _evidence, model, formula, locality)
-        reports.append(TruthReport(
-            formula, holds, tuple([worlds[i] for i in witnesses]), locality, frame,
-            tuple([VacuousFlag(worlds[i], cf) for i, cf in flags]),
-        ))
+        reports.append(TruthReport(formula, holds, witnesses, locality, frame, flags))
     return reports
 
 
@@ -225,7 +212,8 @@ def information_flow(
 
 
 class DivergenceExample(Record):
-    """A single world where LOC1 and the light-cone policy disagree."""
+    """A left-side counterfactual whose truth at ``world`` differs between
+    LOC1 and the light-cone policy, in the left-first frame."""
 
     formula: Formula
     world: World
@@ -251,12 +239,19 @@ class ComparisonReport(Record):
         return self.flips["stmt1"]
 
 
-def _divergence_results(model: WorldModel, world: World) -> tuple[bool, bool]:
-    """The divergence formula's truth at ``world`` under LOC1 and under the
-    light-cone policy."""
-    formula = _divergence_formula()
-    return (eval_world(model, world, formula, LocalityCondition.LOC1),
-            eval_world(model, world, formula, LocalityCondition.LIGHT_CONE))
+def _divergence(model: WorldModel) -> tuple:
+    """The first world, the catalogued pivot and then the rest in ``CELLS``
+    order, at which ``Lk []-> Rm ro`` (k the other left setting, Rm and ro
+    the world's) differs between LOC1 and the light-cone policy, as (world,
+    formula, LOC1 result, light-cone result); () when there is none."""
+    for w in sorted(model.worlds, key=lambda w: w.index != _PIVOT):
+        other = Setting.L1 if w.left_setting is Setting.L2 else Setting.L2
+        formula = Counterfactual(other, OutcomeAtom(w.right_setting, w.right_outcome))
+        loc1 = eval_world(model, w, formula, LocalityCondition.LOC1)
+        light_cone = eval_world(model, w, formula, LocalityCondition.LIGHT_CONE)
+        if loc1 != light_cone:
+            return w, formula, loc1, light_cone
+    return ()
 
 
 def frame_comparison(
@@ -269,10 +264,11 @@ def frame_comparison(
     the left-first frame and clears in the right-first one, so ``flips``
     compares those two suites.  The light-cone policy sets fixed[R] too, so
     its suite, on the left-first model, reads the LOC1 left-first verdicts
-    from the memo.  When the world (L2, R1, +, -) is possible, the report
-    also carries the left-side counterfactual that separates the two
-    policies at that world; the memo keeps its two results under the world
-    mask.
+    from the memo.  The report also carries a left-side counterfactual
+    that separates the two policies at some world, if one does: the
+    catalogued ``DIVERGENCE_TEXT`` at (L2, R1, +, -) when it separates them,
+    else the first that ``_divergence`` finds.  The memo keeps it under the
+    world mask.
     """
     model_l = enumerate_worlds(table, epsilon, FrameOrdering.LEFT_BEFORE_RIGHT)
     model_r = enumerate_worlds(table, epsilon, FrameOrdering.RIGHT_BEFORE_LEFT)
@@ -282,14 +278,12 @@ def frame_comparison(
         LIGHT_CONE_KEY: theorem_suite(model_l, LocalityCondition.LIGHT_CONE),
     }
     divergence: DivergenceExample | None = None
-    pivot = model_l.find(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
-    if pivot is not None:
-        loc1, light_cone = _memoized(
-            (model_l.mask, "divergence"), _divergence_results, model_l, pivot
-        )
+    found = _memoized((model_l.mask, "divergence"), _divergence, model_l)
+    if found:
+        world, formula, loc1, light_cone = found
         divergence = DivergenceExample(
-            formula=_divergence_formula(),
-            world=pivot,
+            formula=formula,
+            world=world,
             results={LOC1_L_FIRST: loc1, LIGHT_CONE_KEY: light_cone},
         )
     l_first, r_first = suites[LOC1_L_FIRST].statements, suites[LOC1_R_FIRST].statements

@@ -230,13 +230,14 @@ def _truth(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _world_json(world: World) -> Payload:
+def _world_json(world: World, values: tuple[float, ...]) -> Payload:
+    """``world`` with its probability, read from ``values``, a table's ``values``."""
     return {
         "left_setting": world.left_setting.name,
         "right_setting": world.right_setting.name,
         "left_outcome": world.left_outcome.value,
         "right_outcome": world.right_outcome.value,
-        "probability": world.probability,
+        "probability": values[world.index],
     }
 
 
@@ -252,18 +253,18 @@ def _world_line(world: Payload) -> str:
     return f"{_label(world)} p={format_probability(world['probability'])}"
 
 
-def _report_json(report: TruthReport) -> Payload:
+def _report_json(report: TruthReport, values: tuple[float, ...]) -> Payload:
     from .formulas import pretty_print
 
     return {
         "formula": pretty_print(report.formula),
         "holds": report.holds,
-        "witnesses": [_world_json(w) for w in report.witnesses],
+        "witnesses": [_world_json(w, values) for w in report.witnesses],
         "locality": report.locality.value,
         "frame": report.frame.value,
         "vacuous_flags": [
             {
-                "world": _world_json(flag.world),
+                "world": _world_json(flag.world, values),
                 "counterfactual": pretty_print(flag.counterfactual),
             }
             for flag in report.vacuous_flags
@@ -279,12 +280,12 @@ def _evidence_lines(report: Payload, indent: str) -> list[str]:
     ]
 
 
-def _suite_json(suite: SuiteReport) -> Payload:
+def _suite_json(suite: SuiteReport, values: tuple[float, ...]) -> Payload:
     return {
         "locality": suite.locality.value,
         "frame": suite.frame.value,
         "statements": {
-            name: _report_json(report) for name, report in suite.statements.items()
+            name: _report_json(report, values) for name, report in suite.statements.items()
         },
     }
 

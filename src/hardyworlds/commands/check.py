@@ -7,8 +7,9 @@ from ..semantics import LocalityCondition, eval_model
 
 def run(args: Namespace) -> Result:
     formula = parse(args.formula)
-    report = eval_model(_world_model(args), formula, LocalityCondition(args.locality))
-    payload = _report_json(report)
+    model = _world_model(args)
+    report = eval_model(model, formula, LocalityCondition(args.locality))
+    payload = _report_json(report, model.table.values)
     lines = [
         f"formula: {payload['formula']}",
         f"locality: {payload['locality']}",

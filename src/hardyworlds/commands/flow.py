@@ -6,13 +6,15 @@ from ..semantics import LocalityCondition
 
 
 def run(args: Namespace) -> Result:
-    flow = information_flow(_world_model(args), LocalityCondition(args.locality))
+    model = _world_model(args)
+    flow = information_flow(model, LocalityCondition(args.locality))
+    values = model.table.values
     payload = {
         "f_of_L2": flow.f_of_L2,
         "f_of_L1": flow.f_of_L1,
         "dependent": flow.dependent,
-        "witness": _world_json(flow.witness) if flow.witness else None,
-        "reports": {name: _report_json(report) for name, report in flow.reports.items()},
+        "witness": _world_json(flow.witness, values) if flow.witness else None,
+        "reports": {name: _report_json(report, values) for name, report in flow.reports.items()},
         "interpretation": list(flow.interpretation),
     }
     lines = [

@@ -5,13 +5,14 @@ from ..cli import Namespace, Result, _label, _suite_json, _table, _truth, _world
 
 
 def run(args: Namespace) -> Result:
-    comparison = frame_comparison(_table(args), args.epsilon)
+    table = _table(args)
+    comparison, values = frame_comparison(table, args.epsilon), table.values
     div = comparison.divergence
     payload = {
-        "suites": {key: _suite_json(suite) for key, suite in comparison.suites.items()},
+        "suites": {key: _suite_json(suite, values) for key, suite in comparison.suites.items()},
         "divergence": None if div is None else {
             "formula": div.text,
-            "world": _world_json(div.world),
+            "world": _world_json(div.world, values),
             "results": dict(div.results),
         },
         "stmt1_frame_dependent": comparison.stmt1_frame_dependent,

@@ -8,6 +8,6 @@ def run(args: Namespace) -> Result:
     payload = {
         "epsilon": model.epsilon,
         "frame": model.frame.value,
-        "worlds": [_world_json(w) for w in model.worlds],
+        "worlds": [_world_json(w, model.table.values) for w in model.worlds],
     }
     return payload, [_world_line(w) for w in payload["worlds"]], {}

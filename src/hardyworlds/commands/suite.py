@@ -6,8 +6,9 @@ from ..semantics import LocalityCondition
 
 
 def run(args: Namespace) -> Result:
-    suite = theorem_suite(_world_model(args), LocalityCondition(args.locality))
-    payload = _suite_json(suite)
+    model = _world_model(args)
+    suite = theorem_suite(model, LocalityCondition(args.locality))
+    payload = _suite_json(suite, model.table.values)
     lines: list[str] = []
     for name, report in payload["statements"].items():
         lines.append(f"{name}: holds={_truth(report['holds'])}  {report['formula']}")

@@ -271,10 +271,6 @@ class JointProbabilityTable(Record):
     ``validate_rows`` checks that each setting pair's four probabilities sum to 1,
     which holds for every table produced by ``probability_table`` but can be
     skipped for deliberately degenerate tables used to exercise error paths.
-
-    ``_memo`` is a private dict, not a field: ``enumerate_worlds`` keeps
-    there each epsilon's world tuple and support mask, built once per table.
-    It holds no model or other reference back to the table, so it makes no cycle.
     """
 
     entries: Mapping[TableKey, float]
@@ -302,7 +298,6 @@ class JointProbabilityTable(Record):
         values = tuple(values)
         object.__setattr__(self, "entries", TableEntries(values))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_memo", {})
 
     def validate_rows(self) -> None:
         for k, (ls, rs) in enumerate(SETTING_PAIRS):

@@ -15,10 +15,11 @@ field tuple, so a record holding a mapping is unhashable.  ``repr`` lists
 every field as ``Name(field=value, ...)``.
 
 A record may also set attributes that are not fields: ``World.index``,
-``WorldModel.mask``, ``JointProbabilityTable.values`` or its ``_memo``.  It
-sets them in its own ``__init__`` like a field, or a builder that skips the
-checks sets them with the fields (``World._set``, ``WorldModel._set``);
-they play no part in equality, hashing or ``repr``.
+``WorldModel.mask`` or ``JointProbabilityTable.values``.  It sets them in
+its own ``__init__`` like a field, or a builder that skips the checks sets
+them with the fields (``WorldModel._set``); they play no part in equality,
+hashing or ``repr``, except where a class defines its own, as ``World``
+compares and hashes its ``index``.
 """
 
 from __future__ import annotations

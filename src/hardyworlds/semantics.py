@@ -117,7 +117,7 @@ def accessible_worlds(
     locality: LocalityCondition = LocalityCondition.LOC1,
 ) -> AccessibleSet:
     """Worlds reachable from ``world`` by switching to ``new_setting``."""
-    if world not in model.worlds:
+    if not model.mask >> world.index & 1:
         raise UnknownWorldError(f"world {world} does not belong to the model")
     region = new_setting.region
     if world.setting_in(region) is new_setting:

@@ -1,10 +1,12 @@
 """Possible worlds of an experiment table.
 
-A world fixes both settings and both outcomes and carries the probability
-the table assigns to that combination.  Only combinations with probability
-strictly above the classification threshold epsilon count as possible.
-World identity is the four coordinates; the probability tags along for
-reporting but plays no role in equality, so all logic downstream is modal.
+A world is one setting/outcome combination: both settings and both
+outcomes, nothing else.  It is the cell ``CELLS[index]``, and the 16 of
+them are built once, as ``WORLDS``; every model, report and memo shares
+them.  A world carries no probability: the one a table assigns to it is
+``model.table.values[world.index]``.  Only combinations with probability
+strictly above the classification threshold epsilon count as possible, so
+all logic downstream is modal.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from .records import Record
 
 class World(Record):
     """One setting/outcome combination.  ``index`` is its position in
-    ``CELLS``, the order of a model's worlds; ``probability`` is not part of
-    its identity, so equality and hashing use the four coordinates alone.
-    The constructor checks its cell; ``enumerate_worlds`` skips the checks."""
+    ``CELLS``, the order of a model's worlds, and its identity: equality
+    and hashing use it alone.  The constructor checks its cell."""
 
     left_setting: Setting
     right_setting: Setting
     left_outcome: Outcome
     right_outcome: Outcome
-    probability: float
 
     def __init__(
         self,
@@ -36,44 +36,23 @@ class World(Record):
         right_setting: Setting,
         left_outcome: Outcome,
         right_outcome: Outcome,
-        probability: float,
     ) -> None:
         if left_setting.region is not Region.LEFT:
             raise ValueError(f"{left_setting} is not a left setting")
         if right_setting.region is not Region.RIGHT:
             raise ValueError(f"{right_setting} is not a right setting")
         cell = (left_setting, right_setting, left_outcome, right_outcome)
-        self._set(cell, probability, CELL_INDEX[cell])
-
-    def _set(self, cell: tuple, probability: float, index: int) -> None:
-        """Set the fields and ``index`` unchecked; not via ``__dict__``, which slows reads."""
-        left_setting, right_setting, left_outcome, right_outcome = cell
-        object.__setattr__(self, "left_setting", left_setting)
-        object.__setattr__(self, "right_setting", right_setting)
-        object.__setattr__(self, "left_outcome", left_outcome)
-        object.__setattr__(self, "right_outcome", right_outcome)
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "index", index)
+        for name, value in zip(self._fields, cell):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "index", CELL_INDEX[cell])
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is self.__class__:
-            return (
-                self.left_setting,
-                self.right_setting,
-                self.left_outcome,
-                self.right_outcome,
-            ) == (
-                other.left_setting,
-                other.right_setting,
-                other.left_outcome,
-                other.right_outcome,
-            )
+            return self.index == other.index
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(
-            (self.left_setting, self.right_setting, self.left_outcome, self.right_outcome)
-        )
+        return self.index
 
     def setting_in(self, region: Region) -> Setting:
         return self.left_setting if region is Region.LEFT else self.right_setting
@@ -91,14 +70,18 @@ class World(Record):
         return f"({self.left_setting},{self.right_setting},{self.left_outcome},{self.right_outcome})"
 
 
+# The 16 worlds in CELLS order: WORLDS[i] is the cell CELLS[i]
+WORLDS: tuple[World, ...] = tuple(World(*cell) for cell in CELLS)
+
+
 class WorldModel(Record):
     """The possible worlds of a table, as a tuple in ``CELLS`` order, with
     the frame used to order regions.  Worlds that do not strictly increase
     in ``CELLS`` index, out of order or repeated, raise ``ValueError``.
 
     ``mask`` is not a field: bit i is set when ``CELLS[i]`` is a world of
-    the model.  Models with equal masks hold each world at the same
-    position, whatever its probability, table or frame."""
+    the model, so models with equal masks have equal worlds, whatever
+    their table or frame."""
 
     worlds: tuple[World, ...]
     table: JointProbabilityTable
@@ -128,10 +111,7 @@ class WorldModel(Record):
         right_outcome: Outcome,
     ) -> World | None:
         index = CELL_INDEX[(left_setting, right_setting, left_outcome, right_outcome)]
-        if not self.mask >> index & 1:
-            return None
-        # the worlds before it are the mask's lower bits
-        return self.worlds[(self.mask & ((1 << index) - 1)).bit_count()]
+        return WORLDS[index] if self.mask >> index & 1 else None
 
     def __iter__(self) -> Iterator[World]:
         return iter(self.worlds)
@@ -151,31 +131,19 @@ def enumerate_worlds(
     possible world at all; free choice of settings demands at least one
     possible outcome for every pair.
 
-    The worlds come in ``CELLS`` order, the order of the table's ``values``.
-    They are built once per table and epsilon, from ``CELLS`` by the unchecked
-    ``World._set``, and kept, as one tuple with its support mask, in the
-    table's memo under the epsilon; later calls, in either frame, wrap that
-    same tuple and mask in a new model.  A table that violates free choice
-    keeps nothing, so every call raises.
+    The worlds are those of ``WORLDS`` in the table's support, in ``CELLS``
+    order, the order of the table's ``values``; none is built.
     """
     epsilon = check_epsilon(epsilon)
-    memo = table._memo
-    found = memo.get(epsilon)
-    if found is None:
-        # the four cells of setting pair k are bits 4k..4k+3
-        possible = support(table, epsilon)
-        for k, (ls, rs) in enumerate(SETTING_PAIRS):
-            if not possible >> 4 * k & 0xF:
-                raise InconsistentModelError(
-                    f"free-choice violation: settings ({ls}, {rs}) admit no "
-                    f"outcome with probability above {epsilon}"
-                )
-        built = []
-        for i, p in enumerate(table.values):
-            if possible >> i & 1:
-                built.append(world := object.__new__(World))
-                world._set(CELLS[i], p, i)
-        found = memo[epsilon] = (tuple(built), possible)
+    possible = support(table, epsilon)
+    # the four cells of setting pair k are bits 4k..4k+3
+    for k, (ls, rs) in enumerate(SETTING_PAIRS):
+        if not possible >> 4 * k & 0xF:
+            raise InconsistentModelError(
+                f"free-choice violation: settings ({ls}, {rs}) admit no "
+                f"outcome with probability above {epsilon}"
+            )
+    worlds = tuple([w for w in WORLDS if possible >> w.index & 1])
     model = object.__new__(WorldModel)
-    model._set(found[0], table, epsilon, frame, found[1])
+    model._set(worlds, table, epsilon, frame, possible)
     return model

@@ -2,7 +2,6 @@ import functools
 import gc
 import itertools
 import math
-import operator
 import random
 import weakref
 
@@ -33,6 +32,7 @@ from hardyworlds.analysis import (
 from hardyworlds.formulas import (
     Counterfactual,
     Entails,
+    OutcomeAtom,
     SettingAtom,
     parse,
     pretty_print,
@@ -56,8 +56,10 @@ from hardyworlds.modelio import dump_model, parse_model
 from hardyworlds.semantics import (
     LocalityCondition, changed_regions, eval_model, eval_world, fixed,
 )
-from hardyworlds.worlds import World, WorldModel, enumerate_worlds
-from oracles import lhv_by_enumeration, random_formula
+from hardyworlds.worlds import WORLDS, World, WorldModel, enumerate_worlds
+from oracles import (
+    accessible_filter, atom_valuation, classical_eval, lhv_by_enumeration, random_formula,
+)
 
 LOC1 = LocalityCondition.LOC1
 LIGHT_CONE = LocalityCondition.LIGHT_CONE
@@ -463,17 +465,13 @@ class TestSharedVerdicts:
         assert [str(w) for w in shared.witnesses] == ["(L1,R2,+,+)", "(L1,R2,-,+)"]
         assert [str(w) for w in own.witnesses] == ["(L1,R2,-,+)"]
         assert information_flow(hand_built).reports["f_of_L1"] == own
-        # a hand-built model over the same worlds reads the same verdicts,
-        # reported on its own worlds, which carry other probabilities
-        relabelled = tuple(
-            World(w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, 0.5)
-            for w in model.worlds
-        )
-        assert relabelled == model.worlds
-        copied = WorldModel(relabelled, table, model.epsilon, model.frame)
+        # a hand-built model over equal worlds, built anew, reads the same
+        # verdicts
+        copied = relabelled(model)
+        assert copied.worlds == model.worlds
         own = theorem_suite(copied).statements["stmt2"]
         assert own == shared
-        assert [w.probability for w in own.witnesses] == [0.5, 0.5]
+        assert repr(own) == repr(shared)
 
     def test_free_choice_violation_raises_on_every_call(self, canonical_table):
         # the (L1, R2) row sits between the two thresholds: possible at
@@ -543,7 +541,7 @@ class TestSharingTripwires:
 
     def test_memo_holds_seven_entries_per_mask(self, canonical_pair, uniform_table):
         # three statements times the two values of fixed[R], and the
-        # divergence results; no world, model or table
+        # divergence example; no model or table, only shared worlds
         tables = [probability_table(*canonical_pair), uniform_table]
         for table in tables:
             for epsilon in (1e-9, 1e-3):
@@ -561,9 +559,9 @@ class TestSharingTripwires:
         held = [
             obj for item in analysis._memo.items() for obj in memo_objects(item)
         ]
-        assert not any(
-            isinstance(obj, (World, WorldModel, JointProbabilityTable)) for obj in held
-        )
+        assert not any(isinstance(obj, (WorldModel, JointProbabilityTable)) for obj in held)
+        worlds = [obj for obj in held if isinstance(obj, World)]
+        assert worlds and all(w is WORLDS[w.index] for w in worlds)
 
     def test_memo_stays_within_its_bound(self, uniform_table, monkeypatch):
         # each table lacks one cell of the uniform one: twelve supports of
@@ -578,10 +576,10 @@ class TestSharingTripwires:
 
     def test_table_is_freed_without_the_cycle_collector(self, uniform_table):
         # everything a sweep op returns is held, as the benchmark holds it,
-        # then dropped at once.  The memos hold world sets and positions,
+        # then dropped at once.  The memo holds verdicts on the shared worlds,
         # nothing that refers back to the table, so reference counting alone
-        # frees the table, its worlds and every report; a table memo that
-        # kept a model would form a table <-> model cycle and keep them all
+        # frees the table, its model and every report; a memo that kept a
+        # model would keep the table too
         state = BipartiteState([0.6, 0.0, 0.0, 0.8])
         config = ExperimentConfig(
             left={1: MeasurementBasis((0.6, 0.8), (0.8, -0.6)), 2: COMPUTATIONAL_BASIS},
@@ -599,7 +597,7 @@ class TestSharingTripwires:
                 table = build()
                 model, suite, *rest = sweep_op(table, frame, locality)
                 refs = [weakref.ref(obj) for obj in (
-                    table, model, model.worlds[0], suite, suite.statements["stmt1"], *rest
+                    table, model, suite, suite.statements["stmt1"], *rest
                 )]
                 del table, model, suite, rest
                 assert [ref() for ref in refs] == [None] * len(refs), (name, frame, locality)
@@ -616,24 +614,20 @@ def same_support(table, epsilon):
 
 
 def relabelled(model):
-    """A hand-built model over the same worlds at probability 0.5."""
-    worlds = [
-        World(w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, 0.5)
-        for w in model.worlds
-    ]
+    """A hand-built model over worlds equal to ``model``'s, each built anew."""
+    worlds = [World(*CELLS[w.index]) for w in model.worlds]
     return WorldModel(worlds, model.table, model.epsilon, model.frame)
 
 
 class TestMaskMemo:
     def assert_served(self, report, model, formula, locality):
-        # labels included; equal worlds may differ in probability, so each
-        # world must be the model's own object
+        # labels included; a world is its cell, so equal worlds are
+        # interchangeable, and an enumerated model's are the shared ones
         direct = eval_model(model, formula, locality)
         assert report == direct
-        assert all(map(operator.is_, report.witnesses, direct.witnesses))
-        assert all(
-            a.world is b.world for a, b in zip(report.vacuous_flags, direct.vacuous_flags)
-        )
+        assert repr(report) == repr(direct)
+        worlds = [*report.witnesses, *(flag.world for flag in report.vacuous_flags)]
+        assert all(model.mask >> w.index & 1 for w in worlds)
 
     @settings(max_examples=100, deadline=None)
     @given(**RANDOM_SUPPORT_ARGS)
@@ -659,20 +653,106 @@ class TestMaskMemo:
                         "f_of_L1": suite.statements["stmt2"],
                     }
                     if flow.witness is not None:
-                        assert any(flow.witness is w for w in candidate.worlds)
+                        assert flow.witness in candidate.worlds
             for key, suite in comparison.suites.items():
                 model = enumerate_worlds(source, epsilon, suite.frame)
                 for name, report in suite.statements.items():
                     self.assert_served(report, model, statements[name], suite.locality)
             model_l = enumerate_worlds(source, epsilon)
             if comparison.divergence is not None:
-                pivot = comparison.divergence.world
-                assert any(pivot is w for w in model_l.worlds)
-                formula = parse(DIVERGENCE_TEXT)
+                pivot, formula = comparison.divergence.world, comparison.divergence.formula
+                assert pivot is WORLDS[pivot.index] and pivot in model_l.worlds
                 assert comparison.divergence.results == {
                     LOC1_L_FIRST: eval_world(model_l, pivot, formula, LOC1),
                     LIGHT_CONE_KEY: eval_world(model_l, pivot, formula, LIGHT_CONE),
                 }
+
+
+PIVOT = (Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
+
+
+def oracle_truth(model, world, formula, locality):
+    """A counterfactual's truth at ``world`` by the oracle's accessibility."""
+    reached = accessible_filter(model, world, formula.antecedent, locality)
+    return bool(reached) and all(
+        classical_eval(formula.consequent, atom_valuation(w)) for w in reached
+    )
+
+
+def divergence_oracle(model):
+    """The catalogued pivot and formula, then each world's ``Lk []-> Rm ro``
+    in CELLS order: the first whose truth differs between LOC1 and the
+    light-cone policy, as (world, formula, results), or None."""
+    candidates = [(w, parse(DIVERGENCE_TEXT)) for w in model.worlds if CELLS[w.index] == PIVOT]
+    for w in model.worlds:
+        other = Setting.L1 if w.left_setting is Setting.L2 else Setting.L2
+        candidates.append((w, Counterfactual(other, OutcomeAtom(w.right_setting, w.right_outcome))))
+    for world, formula in candidates:
+        results = {
+            LOC1_L_FIRST: oracle_truth(model, world, formula, LOC1),
+            LIGHT_CONE_KEY: oracle_truth(model, world, formula, LIGHT_CONE),
+        }
+        if results[LOC1_L_FIRST] != results[LIGHT_CONE_KEY]:
+            return world, formula, results
+    return None
+
+
+def separates_somewhere(mask):
+    """Does some possible world (Lj, Rm, lo, ro) have both right outcomes
+    possible after (Lk, Rm), k the other left setting?  Only there can
+    ``Lk []-> Rm ro`` be false under LOC1, which lets the right outcome
+    change, and true under the light-cone policy, which holds it fixed."""
+    seen = {(ls, rs, ro) for i, (ls, rs, _, ro) in enumerate(CELLS) if mask >> i & 1}
+    other = {Setting.L1: Setting.L2, Setting.L2: Setting.L1}
+    return any({(other[ls], rs, ro) for ro in Outcome} <= seen for ls, rs, _ in seen)
+
+
+@pytest.mark.usefixtures("empty_memo")
+class TestDivergenceSearch:
+    def test_seeded_supports(self):
+        # 2,000 of the 15**4 supports with every setting pair possible; the
+        # example depends on the support alone, so any positive values do
+        rng = random.Random(23)
+        kinds = {"pivot": 0, "searched": 0, "none": 0}
+        for _ in range(2000):
+            mask = 0
+            for k in range(4):
+                mask |= rng.randrange(1, 16) << 4 * k
+            table = JointProbabilityTable(
+                {cell: rng.uniform(0.01, 1.0) if mask >> i & 1 else 0.0
+                 for i, cell in enumerate(CELLS)}
+            )
+            divergence = frame_comparison(table).divergence
+            model_l = enumerate_worlds(table)
+            expected = divergence_oracle(model_l)
+            assert (divergence is None) == (expected is None) == (not separates_somewhere(mask))
+            if divergence is None:
+                kinds["none"] += 1
+                continue
+            assert divergence.results[LOC1_L_FIRST] != divergence.results[LIGHT_CONE_KEY]
+            assert (divergence.world, divergence.formula, divergence.results) == expected
+            assert divergence.world is WORLDS[divergence.world.index]
+            catalogued = divergence.formula == parse(DIVERGENCE_TEXT)
+            kinds["pivot" if catalogued and str(divergence.world) == "(L2,R1,+,-)"
+                  else "searched"] += 1
+        assert min(kinds.values()) > 20, kinds
+
+    def test_pivot_that_does_not_separate_is_skipped(self):
+        # after L1 the outcome under R1 is always -, so the catalogued
+        # L1 []-> R1- is true at (L2, R1, +, -) under both policies; after L1
+        # both outcomes under R2 are possible, so L1 []-> R2+ separates them
+        # at (L2, R2, +, +), the first world where a candidate does
+        plus, minus = Outcome.PLUS, Outcome.MINUS
+        possible = {
+            (Setting.L1, Setting.R1, plus, minus), (Setting.L1, Setting.R2, plus, plus),
+            (Setting.L1, Setting.R2, minus, minus), (Setting.L2, Setting.R1, plus, minus),
+            (Setting.L2, Setting.R2, plus, plus),
+        }
+        table = JointProbabilityTable({cell: 0.5 if cell in possible else 0.0 for cell in CELLS})
+        divergence = frame_comparison(table).divergence
+        assert str(divergence.world) == "(L2,R2,+,+)"
+        assert divergence.text == "(L1 []-> R2+)"
+        assert divergence.results == {LOC1_L_FIRST: False, LIGHT_CONE_KEY: True}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,13 +11,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardyworlds.analysis import READING_NONE, READING_REFERENCE, READING_TRANSFER
 from hardyworlds.cli import COMMANDS, build_parser, format_probability, main, plain_args
-from hardyworlds.modelio import dump_model, save_model
+from hardyworlds.labels import Outcome, Setting
+from hardyworlds.modelio import dump_model, load_model, save_model
 from hardyworlds.quantum import (
+    CELLS,
+    COMPUTATIONAL_BASIS,
+    BipartiteState,
+    ExperimentConfig,
+    MeasurementBasis,
     canonical_hardy_model,
     hardy_family,
     hardy_scan,
@@ -328,6 +337,93 @@ class TestFrames:
         for name, entry in payload["protection"].items():
             assert entry["flips"] == (l_first[name]["holds"] != r_first[name]["holds"])
         assert payload["protection"]["stmt1"]["flips"] == payload["stmt1_frame_dependent"]
+
+
+    def test_no_divergence_when_no_world_separates_the_policies(self, capsys, tmp_path):
+        # (|0>+|1>)/sqrt(2) (x) |0>, every setting measured in the computational
+        # basis: the right outcome is always -, so no left-side counterfactual
+        # tells LOC1 from the light-cone policy
+        r = 0.5 ** 0.5
+        state = BipartiteState([r, 0.0, r, 0.0])
+        bases = {1: COMPUTATIONAL_BASIS, 2: COMPUTATIONAL_BASIS}
+        path = tmp_path / "product.json"
+        save_model(state, ExperimentConfig(bases, bases), path)
+        code, out, err = run_cli(capsys, "frames", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert "divergence" not in out
+        assert out.endswith("stmt1 frame-dependent under loc1: false\n")
+        _, out, _ = run_cli(capsys, "frames", "--file", str(path), "--format", "json")
+        assert json.loads(out)["divergence"] is None
+        expect = tmp_path / "expect.txt"
+        expect.write_text("divergence.lightcone=true\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "frames", "--file", str(path), "--expect", str(expect))
+        assert (code, err) == (1, "expect: divergence.lightcone: no such check\n")
+
+
+def json_worlds(payload):
+    """Every world in a JSON payload, at any depth."""
+    if isinstance(payload, dict):
+        if "probability" in payload:
+            yield payload
+        for value in payload.values():
+            yield from json_worlds(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from json_worlds(value)
+
+
+def cell_index(ls, rs, lo, ro):
+    return CELLS.index((Setting[ls], Setting[rs], Outcome.from_symbol(lo), Outcome.from_symbol(ro)))
+
+
+def run_quiet(*argv):
+    """``main``'s exit code and stdout, captured without capsys, which
+    hypothesis does not reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]), st.floats(0.0, math.pi))
+
+
+class TestWorldProbabilities:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        amplitudes=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=4, max_size=4),
+        angles=st.lists(ANGLES, min_size=4, max_size=4),
+        epsilon=st.one_of(st.sampled_from([1e-9, 1e-3]), st.floats(1e-9, 0.099)),
+        frame=st.sampled_from(["l-first", "r-first"]),
+    )
+    def test_printed_probabilities_are_the_table_s(
+        self, tmp_path_factory, amplitudes, angles, epsilon, frame
+    ):
+        # a world carries no probability: every one printed is read from the
+        # table, at the world's cell
+        norm = math.sqrt(sum(a * a for a in amplitudes))
+        assume(norm > 0.1)
+        bases = [MeasurementBasis((math.cos(t), math.sin(t)), (-math.sin(t), math.cos(t)))
+                 for t in angles]
+        state = BipartiteState([a / norm for a in amplitudes])
+        config = ExperimentConfig({1: bases[0], 2: bases[1]}, {1: bases[2], 2: bases[3]})
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(state, config, path)
+        values = probability_table(*load_model(path)).values
+        options = ["--file", str(path), "--epsilon", repr(epsilon), "--frame", frame]
+        code, out = run_quiet("model", "show", *options)
+        assume(code == 0)  # a setting pair with no possible world exits 3
+        for line in out.splitlines():
+            index = cell_index(*line.split(" p=")[0].split())
+            assert line.endswith(f" p={format_probability(values[index])}")
+        for argv in (["model", "show"], ["check", "L1+ | R2 => (R1 []-> R1+)"], ["suite"],
+                     ["flow"], ["frames"]):
+            code, out = run_quiet(*argv, *options, "--format", "json")
+            assert code == 0
+            for world in json_worlds(json.loads(out)):
+                cell = (world[key] for key in (
+                    "left_setting", "right_setting", "left_outcome", "right_outcome"))
+                assert world["probability"] == values[cell_index(*cell)]
 
 
 class TestLhv:

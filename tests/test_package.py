@@ -166,9 +166,7 @@ def test_tracer_targets_are_the_functions_their_spans_name():
         assert resolved is getattr(getattr(hardyworlds, home), name), (module, attribute)
 
 
-# The calls: counts of a traced CLI run per command line, but for
-# semantics.accessible_worlds: how many nested calls a counterfactual makes
-# follows the hash seed's iteration order.
+# The calls: counts of a traced CLI run per command line.
 TABLE_CALLS = {"quantum.hardy_family": 1, "quantum.probability_table": 1}
 MODEL_CALLS = {**TABLE_CALLS, "worlds.enumerate_worlds": 1}
 CATALOG_CALLS = {**MODEL_CALLS, "analysis.catalog": 1, "formulas.parse": 4}
@@ -177,14 +175,22 @@ TRACED_CALLS = {
     "model show --file {model}": {
         "modelio.parse_model": 1, "quantum.probability_table": 1, "worlds.enumerate_worlds": 1,
     },
-    "check 'L2=>(R1[]->R1-)'": {**MODEL_CALLS, "formulas.parse": 1, "semantics.eval_model": 1},
-    "suite": {**CATALOG_CALLS, "analysis.theorem_suite": 1, "semantics.eval_model": 3},
+    "check 'L2=>(R1[]->R1-)'": {
+        **MODEL_CALLS, "formulas.parse": 1, "semantics.eval_model": 1,
+        "semantics.accessible_worlds": 6,
+    },
+    "suite": {
+        **CATALOG_CALLS, "analysis.theorem_suite": 1, "semantics.eval_model": 3,
+        "semantics.accessible_worlds": 5,
+    },
     "flow --frame r-first": {
         **CATALOG_CALLS, "analysis.information_flow": 1, "semantics.eval_model": 2,
+        "semantics.accessible_worlds": 3,
     },
     "frames": {
-        **CATALOG_CALLS, "worlds.enumerate_worlds": 2, "formulas.parse": 5,
+        **CATALOG_CALLS, "worlds.enumerate_worlds": 2,
         "analysis.frame_comparison": 1, "analysis.theorem_suite": 3, "semantics.eval_model": 6,
+        "semantics.accessible_worlds": 12,
     },
     "lhv --family 0.2": {**TABLE_CALLS, "analysis.lhv_feasibility": 1},
     "hardy-scan": {"quantum.hardy_scan": 1},
@@ -212,7 +218,7 @@ def test_a_traced_cli_child_records_one_span_per_call(tmp_path, line):
     calls = {
         key.partition(":")[2]: count
         for key, count in summary.items()
-        if key.startswith("calls:") and key != "calls:semantics.accessible_worlds"
+        if key.startswith("calls:")
     }
     assert calls == TRACED_CALLS[line]
 

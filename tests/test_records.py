@@ -31,6 +31,7 @@ from hardyworlds.formulas import (
 )
 from hardyworlds.labels import FrameOrdering, Outcome, Region, Setting
 from hardyworlds.quantum import (
+    CELLS,
     BipartiteState,
     ExperimentConfig,
     HardyConstraintReport,
@@ -47,7 +48,7 @@ from hardyworlds.semantics import (
     VacuousFlag,
     eval_model,
 )
-from hardyworlds.worlds import World, WorldModel, enumerate_worlds
+from hardyworlds.worlds import WORLDS, World, WorldModel, enumerate_worlds
 
 STATE, CONFIG = canonical_hardy_model()
 TABLE = probability_table(STATE, CONFIG)
@@ -144,7 +145,6 @@ SAMPLES = {
         "right_setting": Setting.R2,
         "left_outcome": Outcome.PLUS,
         "right_outcome": Outcome.MINUS,
-        "probability": 0.25,
     },
     WorldModel: {"worlds": MODEL.worlds, "table": TABLE, "epsilon": 1e-9, "frame": L_FIRST},
 }
@@ -244,21 +244,22 @@ def test_equality_compares_field_values():
     assert HardyConstraintReport(0.0, 0.0, 0.0, 0.0, 0.25, 1e-9, False) != constraints
 
 
-def test_world_identity_ignores_probability():
-    coordinates = (Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
-    low, high = World(*coordinates, 0.1), World(*coordinates, probability=0.9)
-    assert low == high
-    assert hash(low) == hash(high)
-    assert hash(low) == hash(coordinates)
-    assert {low, high} == {low}
-    assert World(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.PLUS, 0.1) != low
+def test_world_identity_is_its_cell():
+    for i, cell in enumerate(CELLS):
+        world = World(*cell)
+        assert world == WORLDS[i]
+        assert world is not WORLDS[i]
+        assert world.index == i
+        assert hash(world) == i
+        assert {world, WORLDS[i]} == {world}
+        assert all(world != other for other in WORLDS if other is not WORLDS[i])
 
 
 def test_world_rejects_settings_in_the_wrong_region():
     with pytest.raises(ValueError, match="not a left setting"):
-        World(Setting.R1, Setting.R2, Outcome.PLUS, Outcome.PLUS, 0.1)
+        World(Setting.R1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
     with pytest.raises(ValueError, match="not a right setting"):
-        World(Setting.L1, Setting.L2, Outcome.PLUS, Outcome.PLUS, 0.1)
+        World(Setting.L1, Setting.L2, Outcome.PLUS, Outcome.PLUS)
 
 
 def test_default_tuples_are_empty():
@@ -273,8 +274,7 @@ def test_world_repr():
     assert repr(WORLD) == (
         "World(left_setting=<Setting.L1: (<Region.LEFT: 'L'>, 1)>, "
         "right_setting=<Setting.R1: (<Region.RIGHT: 'R'>, 1)>, "
-        "left_outcome=<Outcome.PLUS: '+'>, right_outcome=<Outcome.PLUS: '+'>, "
-        "probability=0.16666666666666663)"
+        "left_outcome=<Outcome.PLUS: '+'>, right_outcome=<Outcome.PLUS: '+'>)"
     )
 
 
@@ -301,8 +301,7 @@ def test_truth_report_repr():
         f"consequent=OutcomeAtom(setting={r1}, outcome={minus}))), "
         "holds=False, "
         f"witnesses=(World(left_setting={l1}, right_setting={r2}, "
-        f"left_outcome={plus}, right_outcome={plus}, "
-        "probability=0.08333333333333333),), "
+        f"left_outcome={plus}, right_outcome={plus}),), "
         "locality=<LocalityCondition.LOC1: 'loc1'>, "
         "frame=<FrameOrdering.LEFT_BEFORE_RIGHT: 'l-first'>, vacuous_flags=())"
     )
@@ -326,11 +325,11 @@ TYPE_ERRORS = {
     ),
     "world-missing": (
         lambda: World(*WORLD_ARGS[:-1]),
-        "World.__init__() missing 1 required positional argument: 'probability'",
+        "World.__init__() missing 1 required positional argument: 'right_outcome'",
     ),
     "world-extra": (
         lambda: World(*WORLD_ARGS, 1),
-        "World.__init__() takes 6 positional arguments but 7 were given",
+        "World.__init__() takes 5 positional arguments but 6 were given",
     ),
     "world-keyword": (
         lambda: World(*WORLD_ARGS, colour=1),

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,9 +86,7 @@ class TestAccessibleWorlds:
         assert labels(acc.worlds) == ["(L2,R1,-,+)"]
 
     def test_unknown_world_rejected(self, canonical_model):
-        impossible = World(
-            Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS, probability=0.0
-        )
+        impossible = World(Setting.L1, Setting.R1, Outcome.PLUS, Outcome.MINUS)
         with pytest.raises(UnknownWorldError):
             accessible_worlds(canonical_model, impossible, Setting.L2)
 
@@ -301,3 +303,51 @@ class TestEvalModel:
         report = eval_model(canonical_model, parse("~R2+"))
         indices = [w.index for w in report.witnesses]
         assert indices == sorted(set(indices))
+
+
+# Nested counterfactuals over the canonical model and a family member, in both
+# frames and both localities, each counted in a fresh process
+COUNT_NESTED_CALLS = """
+from hardyworlds import semantics
+from hardyworlds.formulas import parse
+from hardyworlds.labels import FrameOrdering
+from hardyworlds.quantum import canonical_hardy_model, hardy_family, probability_table
+from hardyworlds.worlds import enumerate_worlds
+
+calls = []
+accessible = semantics.accessible_worlds
+semantics.accessible_worlds = lambda *args: calls.append(args) or accessible(*args)
+texts = {texts!r}
+for pair in (canonical_hardy_model(), hardy_family(0.2)):
+    for frame in FrameOrdering:
+        model = enumerate_worlds(probability_table(*pair), 1e-9, frame)
+        for text in texts:
+            for locality in semantics.LocalityCondition:
+                semantics.eval_model(model, parse(text), locality)
+print(len(calls))
+"""
+NESTED = (
+    "L2 & R2 & R2- => (R1 []-> (L1 []-> L1+))",
+    "R1 []-> (L1 []-> (R2 []-> R2+))",
+    "L1 => (R2 []-> (L2 []-> (R1 []-> R1-)))",
+    "(R1 []-> L1+) | (L2 []-> (R2 []-> L2-))",
+    "R2 => (L1 []-> ~(R1 []-> (L2 []-> R1+)))",
+)
+
+
+def test_nested_accessibility_does_not_depend_on_the_hash_seed():
+    # a counterfactual stops at the first accessible world that fails its
+    # consequent; worlds hash by their CELLS index, so every process visits
+    # them in the same order and makes the same nested calls
+    counts = set()
+    for seed in "0123":
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_NESTED_CALLS.format(texts=NESTED)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+                 "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1 and min(counts) > 0, counts

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -7,18 +8,18 @@ from hardyworlds.labels import SETTING_PAIRS, FrameOrdering, Outcome, Region, Se
 from hardyworlds.quantum import (
     CELLS, JointProbabilityTable, hardy_family, probability_table,
 )
-from hardyworlds.worlds import World, WorldModel, enumerate_worlds
+from hardyworlds.worlds import WORLDS, World, WorldModel, enumerate_worlds
 
 
 class TestWorld:
-    def test_identity_ignores_probability(self):
-        a = World(Setting.L1, Setting.R1, Outcome.PLUS, Outcome.PLUS, probability=0.1)
-        b = World(Setting.L1, Setting.R1, Outcome.PLUS, Outcome.PLUS, probability=0.9)
-        assert a == b
-        assert hash(a) == hash(b)
+    def test_worlds_are_the_cells_in_order(self):
+        assert [
+            (w.left_setting, w.right_setting, w.left_outcome, w.right_outcome, w.index)
+            for w in WORLDS
+        ] == [(*cell, i) for i, cell in enumerate(CELLS)]
 
     def test_region_accessors(self):
-        w = World(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS, probability=0.5)
+        w = World(Setting.L2, Setting.R1, Outcome.PLUS, Outcome.MINUS)
         assert w.setting_in(Region.LEFT) is Setting.L2
         assert w.setting_in(Region.RIGHT) is Setting.R1
         assert w.outcome_in(Region.LEFT) is Outcome.PLUS
@@ -26,12 +27,12 @@ class TestWorld:
 
     def test_rejects_misplaced_settings(self):
         with pytest.raises(ValueError):
-            World(Setting.R1, Setting.R2, Outcome.PLUS, Outcome.PLUS, probability=0.1)
+            World(Setting.R1, Setting.R2, Outcome.PLUS, Outcome.PLUS)
         with pytest.raises(ValueError):
-            World(Setting.L1, Setting.L2, Outcome.PLUS, Outcome.PLUS, probability=0.1)
+            World(Setting.L1, Setting.L2, Outcome.PLUS, Outcome.PLUS)
 
     def test_rendering(self):
-        w = World(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.MINUS, probability=0.2)
+        w = World(Setting.L1, Setting.R2, Outcome.PLUS, Outcome.MINUS)
         assert w.label() == "L1 R2 + -"
         assert str(w) == "(L1,R2,+,-)"
 
@@ -97,7 +98,7 @@ class TestEnumerateWorlds:
     def test_first_world(self, canonical_model):
         head = canonical_model.worlds[0]
         assert head.label() == "L1 R1 + +"
-        assert head.probability == pytest.approx(1.0 / 6.0, abs=1e-9)
+        assert canonical_model.table.values[head.index] == pytest.approx(1.0 / 6.0, abs=1e-9)
 
     def test_uniform_table_has_all_sixteen(self, uniform_model):
         assert len(uniform_model) == 16
@@ -118,31 +119,35 @@ class TestEnumerateWorlds:
         with pytest.raises(DomainError):
             enumerate_worlds(canonical_table, epsilon=epsilon)
 
-    def test_worlds_are_built_once_per_table_and_epsilon(self, canonical_pair):
-        # every model is kept alive, so distinct World objects have distinct
-        # ids and their count is the number of worlds built
-        models = []
+    def test_enumerate_worlds_builds_no_world(self, canonical_pair, monkeypatch):
+        built = []
+        init = World.__init__
 
-        def built(model):
-            models.append(model)
-            return len({id(w) for m in models for w in m.worlds})
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
 
+        monkeypatch.setattr(World, "__init__", counting)
         table = probability_table(*canonical_pair)
-        left = enumerate_worlds(table, 1e-9, FrameOrdering.LEFT_BEFORE_RIGHT)
-        right = enumerate_worlds(table, 1e-9, FrameOrdering.RIGHT_BEFORE_LEFT)
-        built(left)
-        assert built(right) == 13
-        assert right.worlds is left.worlds
-        assert right.frame is FrameOrdering.RIGHT_BEFORE_LEFT
-        coarse = enumerate_worlds(table, 1e-3)
-        assert coarse.worlds is not left.worlds
-        assert built(coarse) == 26
-        assert enumerate_worlds(table, 1e-9).worlds is left.worlds
-        # an equal table keeps its own world sets
-        copy = JointProbabilityTable(table.entries)
-        copied = enumerate_worlds(copy)
-        assert copied.worlds == left.worlds
-        assert built(copied) == 39
+        for epsilon in (1e-9, 1e-3, 0.09):
+            for frame in FrameOrdering:
+                model = enumerate_worlds(table, epsilon, frame)
+                assert all(w is WORLDS[w.index] for w in model)
+        assert built == []
+
+    def test_equal_masks_hold_identical_worlds(self, canonical_pair):
+        # the family member at 0.2 has the canonical support; a model holds
+        # the shared worlds, whatever its table, epsilon or frame
+        tables = [probability_table(*canonical_pair), probability_table(*hardy_family(0.2))]
+        tables.append(JointProbabilityTable(tables[0].entries))
+        models = [
+            enumerate_worlds(table, epsilon, frame)
+            for table in tables for epsilon in (1e-9, 1e-3) for frame in FrameOrdering
+        ]
+        assert {model.mask for model in models} == {models[0].mask}
+        for model in models:
+            assert len(model) == 13
+            assert all(map(operator.is_, model.worlds, models[0].worlds))
 
     def test_degenerate_pair_rejected(self, canonical_table):
         entries = dict(canonical_table.entries)
@@ -176,7 +181,7 @@ class TestEnumerateWorlds:
 
     def test_probabilities_match_table(self, canonical_model, canonical_table):
         for w in canonical_model:
-            assert w.probability == canonical_table.entries[
+            assert canonical_model.table.values[w.index] == canonical_table.entries[
                 (w.left_setting, w.right_setting, w.left_outcome, w.right_outcome)
             ]
 
@@ -189,11 +194,11 @@ def supports_of(table):
 
 
 class TestUncheckedWorlds:
-    """enumerate_worlds builds worlds from CELLS without World.__init__'s
-    checks; nothing may tell the two kinds apart."""
+    """enumerate_worlds hands out the shared WORLDS and builds its model
+    without WorldModel.__init__'s checks; nothing may tell either from a
+    checked one."""
 
-    FIELDS = ("left_setting", "right_setting", "left_outcome", "right_outcome",
-              "probability", "index")
+    FIELDS = ("left_setting", "right_setting", "left_outcome", "right_outcome", "index")
 
     def tables(self, canonical_table, uniform_table):
         rng = random.Random(16)
@@ -215,8 +220,8 @@ class TestUncheckedWorlds:
                     i for i, p in enumerate(table.entries.values()) if p > epsilon
                 ]
                 for w in model:
-                    checked = World(*CELLS[w.index], probability=table.entries[CELLS[w.index]])
-                    assert type(w) is World
+                    checked = World(*CELLS[w.index])
+                    assert w is WORLDS[w.index]
                     assert w == checked
                     assert w.index == checked.index
                     assert repr(w) == repr(checked)
@@ -234,7 +239,7 @@ class TestUncheckedWorlds:
             for epsilon in supports_of(table):
                 for frame in FrameOrdering:
                     model = enumerate_worlds(table, epsilon, frame)
-                    worlds = [World(*CELLS[w.index], table.values[w.index]) for w in model]
+                    worlds = [World(*CELLS[w.index]) for w in model]
                     checked = WorldModel(worlds, table, epsilon, frame)
                     assert type(model) is WorldModel
                     assert model == checked
